@@ -1,32 +1,90 @@
 #include "ec/curve.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "mpint/prime.h"
 
 namespace idgka::ec {
 
+namespace {
+
+using mpint::Residue;
+using Limb = BigInt::Limb;
+
+constexpr unsigned kTeeth = 6;                 // comb teeth: 2^6 = 64 entries
+constexpr std::size_t kCombEntries = std::size_t{1} << kTeeth;
+constexpr unsigned kWindow = 5;                // wNAF width: odd digits in [-15, 15]
+constexpr std::size_t kOddMultiples = std::size_t{1} << (kWindow - 2);  // P, 3P, ..., 15P
+constexpr std::size_t kMaxScalarBits = 64 * Residue::kInlineLimbs;
+constexpr std::size_t kMaxLimbs = Residue::kInlineLimbs;
+
+// Bits [pos, pos + count) of |k|, count < 64.
+unsigned bits_at(const BigInt& k, std::size_t pos, unsigned count) {
+  const std::size_t limb = pos / 64;
+  const unsigned shift = pos % 64;
+  Limb v = k.limb(limb) >> shift;
+  if (shift != 0 && shift + count > 64) v |= k.limb(limb + 1) << (64 - shift);
+  return static_cast<unsigned>(v & ((Limb{1} << count) - 1));
+}
+
+// Width-5 NAF of |k| (negated when `negate`) into naf[0, len), len =
+// bit_length + 1: every nonzero digit is odd, |digit| <= 15, and any two
+// nonzero digits are at least kWindow positions apart.
+std::size_t recode_wnaf(const BigInt& k, bool negate, std::int8_t* naf) {
+  const std::size_t len = k.bit_length() + 1;
+  std::memset(naf, 0, len);
+  unsigned carry = 0;
+  for (std::size_t bit = 0; bit < len;) {
+    if (static_cast<unsigned>(k.bit(bit)) == carry) {
+      ++bit;
+      continue;
+    }
+    const unsigned now = static_cast<unsigned>(std::min<std::size_t>(kWindow, len - bit));
+    int word = static_cast<int>(bits_at(k, bit, now) + carry);
+    carry = static_cast<unsigned>(word >> (kWindow - 1)) & 1U;
+    word -= static_cast<int>(carry << kWindow);
+    naf[bit] = static_cast<std::int8_t>(negate ? -word : word);
+    bit += now;
+  }
+  return len;
+}
+
+}  // namespace
+
 Curve::Curve(std::string name, BigInt p, BigInt a, BigInt b, Point g, BigInt n, BigInt h)
+    : Curve(std::move(name), std::move(p), std::move(a), std::move(b),
+            [&g](const Curve&) { return g; }, std::move(n), std::move(h)) {}
+
+Curve::Curve(std::string name, BigInt p, BigInt a, BigInt b,
+             const std::function<Point(const Curve&)>& derive, BigInt n, BigInt h)
     : name_(std::move(name)),
       p_(std::move(p)),
       a_(std::move(a)),
       b_(std::move(b)),
-      g_(std::move(g)),
+      g_(Point::at_infinity()),  // no generator while `derive` runs
       n_(std::move(n)),
       h_(std::move(h)),
       fctx_(p_),
       a_r_(fctx_.to_residue(a_)),
-      b_r_(fctx_.to_residue(b_)) {
-  if (!is_on_curve(g_)) throw std::invalid_argument("Curve: generator not on curve");
+      b_r_(fctx_.to_residue(b_)),
+      zero_r_(fctx_),
+      one_r_(fctx_.one_residue()),
+      a_is_minus3_(a_r_ == fctx_.to_residue(BigInt{-3})),
+      a_is_one_(a_r_ == one_r_) {
+  Point g = derive(*this);
+  if (!is_on_curve(g)) throw std::invalid_argument("Curve: generator not on curve");
+  g_ = std::move(g);
+  g_table_ = make_fixed_base(g_);
 }
 
 // All point arithmetic below runs in fctx_'s residue domain (Montgomery form
-// for the odd field primes): a Jacobian coordinate is converted once at the
-// affine boundary and every field operation in between is a raw limb kernel
-// — adds/subs with one conditional modulus correction, mont_mul/mont_sqr for
-// products — with no division-based reduction and no heap traffic.
-using mpint::Residue;
+// for the odd field primes): coordinates convert once at the affine boundary
+// and every field operation in between is a raw limb kernel with no
+// division-based reduction and no heap traffic.
 
 bool Curve::is_on_curve(const Point& pt) const {
   if (pt.infinity) return true;
@@ -49,169 +107,435 @@ Point Curve::neg(const Point& pt) const {
   return Point{pt.x, pt.y.is_zero() ? BigInt{} : p_ - pt.y, false};
 }
 
-Curve::Jac Curve::jac_inf() const {
-  return Jac{fctx_.one_residue(), fctx_.one_residue(), Residue(fctx_)};
+std::size_t Curve::comb_block() const {
+  return std::max<std::size_t>(1, (n_.bit_length() + kTeeth - 1) / kTeeth);
+}
+
+Curve::Jac Curve::make_jac() const { return Jac{Residue(fctx_), Residue(fctx_), Residue(fctx_)}; }
+
+void Curve::set_inf(Jac& p) const { p.z = zero_r_; }
+
+void Curve::set_affine(Jac& p, const Residue& x, const Residue& y) const {
+  p.x = x;
+  p.y = y;
+  p.z = one_r_;
+}
+
+void Curve::dbl(Jac& p, Work& w) const {
+  // Infinity stays put; y == 0 yields Z3 = 2*Y*Z = 0 in both formulas.
+  if (p.z.is_zero()) return;
+  const mpint::ModContext& f = fctx_;
+  if (a_is_minus3_) {
+    // dbl-2001-b, 3M + 5S: alpha = 3*(X - Z^2)*(X + Z^2).
+    f.sqr(p.z, w.t0);        // delta = Z^2
+    f.sqr(p.y, w.t1);        // gamma = Y^2
+    f.mul(p.x, w.t1, w.t2);  // beta = X*gamma
+    f.sub(p.x, w.t0, w.t3);
+    f.add(p.x, w.t0, w.t4);
+    f.mul(w.t3, w.t4, w.t3);
+    f.add(w.t3, w.t3, w.t4);
+    f.add(w.t3, w.t4, w.t3);  // alpha
+    // Z3 = (Y + Z)^2 - gamma - delta
+    f.add(p.y, p.z, p.z);
+    f.sqr(p.z, p.z);
+    f.sub(p.z, w.t1, p.z);
+    f.sub(p.z, w.t0, p.z);
+    // X3 = alpha^2 - 8*beta
+    f.add(w.t2, w.t2, w.t4);
+    f.add(w.t4, w.t4, w.t4);  // 4*beta
+    f.add(w.t4, w.t4, w.t5);  // 8*beta
+    f.sqr(w.t3, p.x);
+    f.sub(p.x, w.t5, p.x);
+    // Y3 = alpha*(4*beta - X3) - 8*gamma^2
+    f.sub(w.t4, p.x, w.t4);
+    f.mul(w.t3, w.t4, w.t4);
+    f.sqr(w.t1, w.t1);
+    f.add(w.t1, w.t1, w.t1);
+    f.add(w.t1, w.t1, w.t1);
+    f.add(w.t1, w.t1, w.t1);
+    f.sub(w.t4, w.t1, p.y);
+    return;
+  }
+  // dbl-2007-bl, general a: 2M + 8S (1M + 8S when a = 1, the
+  // supersingular pairing curve).
+  f.sqr(p.x, w.t0);  // XX
+  f.sqr(p.y, w.t1);  // YY
+  f.sqr(w.t1, w.t2);  // YYYY
+  f.sqr(p.z, w.t3);  // ZZ
+  // S = 2*((X + YY)^2 - XX - YYYY)
+  f.add(p.x, w.t1, w.t4);
+  f.sqr(w.t4, w.t4);
+  f.sub(w.t4, w.t0, w.t4);
+  f.sub(w.t4, w.t2, w.t4);
+  f.add(w.t4, w.t4, w.t4);
+  // M = 3*XX + a*ZZ^2
+  f.add(w.t0, w.t0, w.t5);
+  f.add(w.t5, w.t0, w.t5);
+  f.sqr(w.t3, w.t0);
+  if (!a_is_one_) f.mul(a_r_, w.t0, w.t0);
+  f.add(w.t5, w.t0, w.t5);
+  // Z3 = (Y + Z)^2 - YY - ZZ
+  f.add(p.y, p.z, p.z);
+  f.sqr(p.z, p.z);
+  f.sub(p.z, w.t1, p.z);
+  f.sub(p.z, w.t3, p.z);
+  // X3 = M^2 - 2*S
+  f.sqr(w.t5, p.x);
+  f.add(w.t4, w.t4, w.t0);
+  f.sub(p.x, w.t0, p.x);
+  // Y3 = M*(S - X3) - 8*YYYY
+  f.sub(w.t4, p.x, w.t4);
+  f.mul(w.t5, w.t4, w.t4);
+  f.add(w.t2, w.t2, w.t2);
+  f.add(w.t2, w.t2, w.t2);
+  f.add(w.t2, w.t2, w.t2);
+  f.sub(w.t4, w.t2, p.y);
+}
+
+void Curve::add(Jac& p, const Jac& q, Work& w) const {
+  // add-2007-bl: 11M + 5S.
+  if (q.z.is_zero()) return;
+  if (p.z.is_zero()) {
+    p = q;
+    return;
+  }
+  const mpint::ModContext& f = fctx_;
+  f.sqr(p.z, w.t0);        // Z1Z1
+  f.sqr(q.z, w.t1);        // Z2Z2
+  f.mul(p.x, w.t1, w.t2);  // U1
+  f.mul(q.x, w.t0, w.t3);  // U2
+  f.mul(q.z, w.t1, w.t4);
+  f.mul(p.y, w.t4, w.t4);  // S1
+  f.mul(p.z, w.t0, w.t5);
+  f.mul(q.y, w.t5, w.t5);  // S2
+  if (w.t2 == w.t3) {
+    if (w.t4 == w.t5) {
+      dbl(p, w);
+    } else {
+      set_inf(p);  // P + (-P)
+    }
+    return;
+  }
+  f.sub(w.t3, w.t2, w.t3);  // H
+  // Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) * H
+  f.add(p.z, q.z, p.z);
+  f.sqr(p.z, p.z);
+  f.sub(p.z, w.t0, p.z);
+  f.sub(p.z, w.t1, p.z);
+  f.mul(p.z, w.t3, p.z);
+  f.add(w.t3, w.t3, w.t0);
+  f.sqr(w.t0, w.t0);        // I = (2H)^2
+  f.mul(w.t3, w.t0, w.t1);  // J = H*I
+  f.sub(w.t5, w.t4, w.t5);
+  f.add(w.t5, w.t5, w.t5);  // r = 2*(S2 - S1)
+  f.mul(w.t2, w.t0, w.t2);  // V = U1*I
+  // X3 = r^2 - J - 2*V
+  f.sqr(w.t5, w.t0);
+  f.sub(w.t0, w.t1, w.t0);
+  f.add(w.t2, w.t2, w.t3);
+  f.sub(w.t0, w.t3, p.x);
+  // Y3 = r*(V - X3) - 2*S1*J
+  f.sub(w.t2, p.x, w.t2);
+  f.mul(w.t5, w.t2, w.t2);
+  f.mul(w.t4, w.t1, w.t4);
+  f.add(w.t4, w.t4, w.t4);
+  f.sub(w.t2, w.t4, p.y);
+}
+
+void Curve::add_affine(Jac& p, const Residue& x, const Residue& y, Work& w) const {
+  // madd-2007-bl (Z2 = 1): 7M + 4S.
+  if (p.z.is_zero()) {
+    set_affine(p, x, y);
+    return;
+  }
+  const mpint::ModContext& f = fctx_;
+  f.sqr(p.z, w.t0);        // Z1Z1
+  f.mul(x, w.t0, w.t1);    // U2
+  f.mul(p.z, w.t0, w.t2);
+  f.mul(y, w.t2, w.t2);    // S2
+  f.sub(w.t1, p.x, w.t1);  // H = U2 - X1
+  f.sub(w.t2, p.y, w.t2);
+  if (w.t1.is_zero()) {
+    if (w.t2.is_zero()) {
+      dbl(p, w);  // P == (x, y)
+    } else {
+      set_inf(p);  // P == -(x, y)
+    }
+    return;
+  }
+  f.add(w.t2, w.t2, w.t2);  // r = 2*(S2 - Y1)
+  f.sqr(w.t1, w.t3);        // HH
+  f.add(w.t3, w.t3, w.t4);
+  f.add(w.t4, w.t4, w.t4);  // I = 4*HH
+  f.mul(w.t1, w.t4, w.t5);  // J = H*I
+  f.mul(p.x, w.t4, w.t4);   // V = X1*I
+  // Z3 = (Z1 + H)^2 - Z1Z1 - HH
+  f.add(p.z, w.t1, p.z);
+  f.sqr(p.z, p.z);
+  f.sub(p.z, w.t0, p.z);
+  f.sub(p.z, w.t3, p.z);
+  // X3 = r^2 - J - 2*V
+  f.sqr(w.t2, w.t0);
+  f.sub(w.t0, w.t5, w.t0);
+  f.add(w.t4, w.t4, w.t3);
+  f.sub(w.t0, w.t3, w.t0);
+  // Y3 = r*(V - X3) - 2*Y1*J
+  f.sub(w.t4, w.t0, w.t4);
+  f.mul(w.t2, w.t4, w.t4);
+  f.mul(p.y, w.t5, w.t5);
+  f.add(w.t5, w.t5, w.t5);
+  f.sub(w.t4, w.t5, p.y);
+  p.x = w.t0;
+}
+
+void Curve::add_entry(Jac& p, TableView t, unsigned j, bool negate, Work& w) const {
+  if (((t.inf_mask >> j) & 1U) != 0) return;
+  const std::size_t k = stride();
+  std::memcpy(w.tx.limbs(), t.xy + 2 * j * k, k * sizeof(Limb));
+  std::memcpy(w.ty.limbs(), t.xy + (2 * j + 1) * k, k * sizeof(Limb));
+  if (negate) fctx_.sub(zero_r_, w.ty, w.ty);
+  add_affine(p, w.tx, w.ty, w);
+}
+
+void Curve::to_affine(const Jac* pts, std::size_t count, Residue* prefix, Limb* xy,
+                      std::uint64_t& inf) const {
+  // Batch inversion: one field inversion of the product of every Z, then
+  // each 1/Z_i from the prefix products on the way back.
+  const std::size_t k = stride();
+  inf = 0;
+  Residue acc = one_r_;
+  bool any = false;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (pts[i].z.is_zero()) {
+      inf |= std::uint64_t{1} << i;
+      continue;
+    }
+    prefix[i] = acc;
+    fctx_.mul(acc, pts[i].z, acc);
+    any = true;
+  }
+  if (!any) return;
+  Residue inv(fctx_), zi(fctx_), zz(fctx_), c(fctx_);
+  fctx_.inv(acc, inv);
+  for (std::size_t i = count; i-- > 0;) {
+    if (((inf >> i) & 1U) != 0) continue;
+    fctx_.mul(inv, prefix[i], zi);  // 1/Z_i
+    fctx_.mul(inv, pts[i].z, inv);  // drop Z_i from the running inverse
+    fctx_.sqr(zi, zz);
+    fctx_.mul(pts[i].x, zz, c);
+    std::memcpy(xy + 2 * i * k, c.limbs(), k * sizeof(Limb));
+    fctx_.mul(zz, zi, zz);
+    fctx_.mul(pts[i].y, zz, c);
+    std::memcpy(xy + (2 * i + 1) * k, c.limbs(), k * sizeof(Limb));
+  }
+}
+
+void Curve::to_affine(const Jac& p, ResiduePoint& out) const {
+  out.infinity = p.z.is_zero();
+  if (out.infinity) return;
+  Residue zi(fctx_), zz(fctx_);
+  fctx_.inv(p.z, zi);
+  fctx_.sqr(zi, zz);
+  fctx_.mul(p.x, zz, out.x);
+  fctx_.mul(zz, zi, zz);
+  fctx_.mul(p.y, zz, out.y);
+}
+
+void Curve::odd_multiples(const ResiduePoint& pt, Limb* xy, std::uint64_t& inf,
+                          Work& w) const {
+  std::array<Jac, kOddMultiples> pts;
+  set_affine(pts[0], pt.x, pt.y);
+  Jac two = pts[0];
+  dbl(two, w);
+  for (std::size_t i = 1; i < kOddMultiples; ++i) {
+    pts[i] = pts[i - 1];
+    add(pts[i], two, w);
+  }
+  std::array<Residue, kOddMultiples> prefix;
+  to_affine(pts.data(), kOddMultiples, prefix.data(), xy, inf);
+}
+
+unsigned Curve::comb_column(const BigInt& k, std::size_t i, std::size_t d) const {
+  unsigned j = 0;
+  for (unsigned t = 0; t < kTeeth; ++t) {
+    if (k.bit(i + t * d)) j |= 1U << t;
+  }
+  return j;
+}
+
+void Curve::ladder(std::span<const Comb> combs, const BigInt* k, const ResiduePoint* pt,
+                   ResiduePoint& out) const {
+  Work w(fctx_);
+  // wNAF term k*pt: digits and odd multiples live on the stack.
+  std::array<std::int8_t, kMaxScalarBits + 1> naf;
+  std::array<Limb, 2 * kOddMultiples * kMaxLimbs> odd;
+  std::uint64_t odd_inf = 0;
+  std::size_t len = 0;
+  if (k != nullptr) {
+    if (k->bit_length() > kMaxScalarBits) {
+      throw std::invalid_argument("Curve: scalar wider than 2048 bits");
+    }
+    if (!k->is_zero() && !pt->infinity) {
+      len = recode_wnaf(*k, k->negative(), naf.data());
+      odd_multiples(*pt, odd.data(), odd_inf, w);
+    }
+  }
+  // One doubling chain for every term: comb column i is added with i
+  // doublings still to go, exactly like wNAF digit i.
+  const std::size_t d = combs.empty() ? 0 : comb_block();
+  Jac acc = make_jac();
+  for (std::size_t i = std::max(d, len); i-- > 0;) {
+    dbl(acc, w);
+    if (i < d) {
+      for (const Comb& c : combs) {
+        if (const unsigned j = comb_column(*c.k, i, d); j != 0) {
+          add_entry(acc, TableView{c.table->xy_.data(), c.table->inf_mask_}, j, false, w);
+        }
+      }
+    }
+    if (i < len && naf[i] != 0) {
+      const int digit = naf[i];
+      add_entry(acc, TableView{odd.data(), odd_inf},
+                static_cast<unsigned>(digit < 0 ? -digit : digit) >> 1, digit < 0, w);
+    }
+  }
+  to_affine(acc, out);
+}
+
+const BigInt& Curve::reduced(const BigInt& k, BigInt& tmp) const {
+  if (!k.negative() && k < n_) return k;
+  tmp = k.mod(n_);
+  return tmp;
+}
+
+void Curve::check_table(const FixedBase& t) const {
+  if (t.field_ != p_ || t.xy_.size() != 2 * kCombEntries * stride()) {
+    throw std::invalid_argument("Curve: fixed-base table from another curve");
+  }
+}
+
+FixedBase Curve::make_fixed_base(const Point& pt) const {
+  if (!is_on_curve(pt)) throw std::invalid_argument("Curve::make_fixed_base: point not on curve");
+  // Entry 2^t = 2^(t*d) * P; every other entry adds its top tooth to the
+  // entry without it. Built in Jacobian, normalised in one batch.
+  const std::size_t d = comb_block();
+  Work w(fctx_);
+  std::vector<Jac> pts(kCombEntries, make_jac());
+  pts[1] = to_jac(pt);
+  for (std::size_t t = 1; t < kTeeth; ++t) {
+    Jac& e = pts[std::size_t{1} << t];
+    e = pts[std::size_t{1} << (t - 1)];
+    for (std::size_t i = 0; i < d; ++i) dbl(e, w);
+  }
+  for (std::size_t j = 3; j < kCombEntries; ++j) {
+    const std::size_t top = std::size_t{1} << (std::bit_width(j) - 1);
+    if (j == top) continue;
+    pts[j] = pts[j - top];
+    add(pts[j], pts[top], w);
+  }
+  FixedBase table;
+  table.base_ = pt;
+  table.field_ = p_;
+  table.xy_.assign(2 * kCombEntries * stride(), 0);
+  std::vector<Residue> prefix(kCombEntries);
+  to_affine(pts.data(), kCombEntries, prefix.data(), table.xy_.data(), table.inf_mask_);
+  return table;
+}
+
+ResiduePoint Curve::to_residue(const Point& pt) const {
+  if (pt.infinity) return ResiduePoint{Residue(fctx_), Residue(fctx_), true};
+  return ResiduePoint{fctx_.to_residue(pt.x), fctx_.to_residue(pt.y), false};
+}
+
+Point Curve::from_residue(const ResiduePoint& pt) const {
+  if (pt.infinity) return Point::at_infinity();
+  return Point{fctx_.from_residue(pt.x), fctx_.from_residue(pt.y), false};
 }
 
 Curve::Jac Curve::to_jac(const Point& pt) const {
-  if (pt.infinity) return jac_inf();
-  return Jac{fctx_.to_residue(pt.x), fctx_.to_residue(pt.y), fctx_.one_residue()};
+  Jac j = make_jac();
+  if (!pt.infinity) set_affine(j, fctx_.to_residue(pt.x), fctx_.to_residue(pt.y));
+  return j;
 }
 
 Point Curve::from_jac(const Jac& j) const {
-  if (j.z.is_zero()) return Point::at_infinity();
-  const Residue z_inv = fctx_.to_residue(fctx_.inv(fctx_.from_residue(j.z)));
-  Residue z2;
-  fctx_.sqr(z_inv, z2);
-  Residue x;
-  fctx_.mul(j.x, z2, x);
-  Residue y;
-  fctx_.mul(z2, z_inv, y);  // z^-3
-  fctx_.mul(j.y, y, y);
-  return Point{fctx_.from_residue(x), fctx_.from_residue(y), false};
-}
-
-Curve::Jac Curve::jac_dbl(const Jac& p1) const {
-  if (p1.z.is_zero() || p1.y.is_zero()) return jac_inf();
-  // dbl-2007-bl style (general a).
-  Residue xx, yy, yyyy, zz, s, m, t, u;
-  fctx_.sqr(p1.x, xx);
-  fctx_.sqr(p1.y, yy);
-  fctx_.sqr(yy, yyyy);
-  fctx_.sqr(p1.z, zz);
-  // S = 2*((X+YY)^2 - XX - YYYY)
-  fctx_.add(p1.x, yy, t);
-  fctx_.sqr(t, t);
-  fctx_.sub(t, xx, s);
-  fctx_.sub(s, yyyy, s);
-  fctx_.add(s, s, s);
-  // M = 3*XX + a*ZZ^2
-  fctx_.add(xx, xx, m);
-  fctx_.add(m, xx, m);
-  fctx_.sqr(zz, t);
-  fctx_.mul(a_r_, t, t);
-  fctx_.add(m, t, m);
-  // X3 = M^2 - 2*S
-  Jac out;
-  fctx_.sqr(m, out.x);
-  fctx_.add(s, s, t);
-  fctx_.sub(out.x, t, out.x);
-  // Y3 = M*(S - X3) - 8*YYYY
-  fctx_.sub(s, out.x, t);
-  fctx_.mul(m, t, t);
-  fctx_.add(yyyy, yyyy, u);
-  fctx_.add(u, u, u);
-  fctx_.add(u, u, u);
-  fctx_.sub(t, u, out.y);
-  // Z3 = (Y+Z)^2 - YY - ZZ
-  fctx_.add(p1.y, p1.z, u);
-  fctx_.sqr(u, u);
-  fctx_.sub(u, yy, u);
-  fctx_.sub(u, zz, out.z);
-  return out;
-}
-
-Curve::Jac Curve::jac_add(const Jac& p1, const Jac& p2) const {
-  if (p1.z.is_zero()) return p2;
-  if (p2.z.is_zero()) return p1;
-  Residue z1z1, z2z2, u1, u2, s1, s2, t;
-  fctx_.sqr(p1.z, z1z1);
-  fctx_.sqr(p2.z, z2z2);
-  fctx_.mul(p1.x, z2z2, u1);
-  fctx_.mul(p2.x, z1z1, u2);
-  fctx_.mul(p2.z, z2z2, s1);
-  fctx_.mul(p1.y, s1, s1);
-  fctx_.mul(p1.z, z1z1, s2);
-  fctx_.mul(p2.y, s2, s2);
-  if (u1 == u2) {
-    if (s1 == s2) return jac_dbl(p1);
-    return jac_inf();  // P + (-P) = O
-  }
-  Residue h, i, j, r, v;
-  fctx_.sub(u2, u1, h);
-  fctx_.add(h, h, i);
-  fctx_.sqr(i, i);  // I = (2H)^2
-  fctx_.mul(h, i, j);
-  fctx_.sub(s2, s1, r);
-  fctx_.add(r, r, r);
-  fctx_.mul(u1, i, v);
-  // X3 = R^2 - J - 2*V
-  Jac out;
-  fctx_.sqr(r, out.x);
-  fctx_.sub(out.x, j, out.x);
-  fctx_.add(v, v, t);
-  fctx_.sub(out.x, t, out.x);
-  // Y3 = R*(V - X3) - 2*S1*J
-  fctx_.sub(v, out.x, t);
-  fctx_.mul(r, t, t);
-  fctx_.mul(s1, j, v);
-  fctx_.add(v, v, v);
-  fctx_.sub(t, v, out.y);
-  // Z3 = ((Z1 + Z2)^2 - Z1Z1 - Z2Z2) * H
-  fctx_.add(p1.z, p2.z, t);
-  fctx_.sqr(t, t);
-  fctx_.sub(t, z1z1, t);
-  fctx_.sub(t, z2z2, t);
-  fctx_.mul(t, h, out.z);
-  return out;
+  ResiduePoint out;
+  to_affine(j, out);
+  return from_residue(out);
 }
 
 Point Curve::add(const Point& p1, const Point& p2) const {
-  return from_jac(jac_add(to_jac(p1), to_jac(p2)));
+  Work w(fctx_);
+  Jac a = to_jac(p1);
+  add(a, to_jac(p2), w);
+  return from_jac(a);
 }
 
-Point Curve::dbl(const Point& pt) const { return from_jac(jac_dbl(to_jac(pt))); }
-
-Point Curve::mul(const BigInt& k_in, const Point& pt) const {
-  return mul_raw(k_in.mod(n_), pt);
+Point Curve::dbl(const Point& pt) const {
+  Work w(fctx_);
+  Jac a = to_jac(pt);
+  dbl(a, w);
+  return from_jac(a);
 }
 
-Point Curve::mul_raw(const BigInt& k_in, const Point& pt) const {
-  BigInt k = k_in;
-  if (k.negative()) return mul_raw(-k, neg(pt));
-  if (k.is_zero() || pt.infinity) return Point::at_infinity();
+void Curve::mul(const BigInt& k, const FixedBase& base, ResiduePoint& out) const {
+  check_table(base);
+  BigInt tmp;
+  const Comb comb{&reduced(k, tmp), &base};
+  ladder(std::span<const Comb>(&comb, 1), nullptr, nullptr, out);
+}
 
-  // 4-bit window over Jacobian coordinates.
-  const Jac base = to_jac(pt);
-  std::array<Jac, 16> table;
-  table[0] = jac_inf();
-  table[1] = base;
-  for (std::size_t i = 2; i < 16; ++i) table[i] = jac_add(table[i - 1], base);
+void Curve::mul_raw(const BigInt& k, const ResiduePoint& pt, ResiduePoint& out) const {
+  ladder({}, &k, &pt, out);
+}
 
-  Jac acc = jac_inf();
-  const std::size_t windows = (k.bit_length() + 3) / 4;
-  for (std::size_t w = windows; w-- > 0;) {
-    acc = jac_dbl(acc);
-    acc = jac_dbl(acc);
-    acc = jac_dbl(acc);
-    acc = jac_dbl(acc);
-    std::size_t digit = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (k.bit(w * 4 + b)) digit |= 1ULL << b;
-    }
-    if (digit != 0) acc = jac_add(acc, table[digit]);
-  }
-  return from_jac(acc);
+void Curve::mul_add(const BigInt& k1, const BigInt& k2, const ResiduePoint& q,
+                    ResiduePoint& out) const {
+  BigInt tmp1, tmp2;
+  const Comb comb{&reduced(k1, tmp1), &g_table_};
+  ladder(std::span<const Comb>(&comb, 1), &reduced(k2, tmp2), &q, out);
+}
+
+void Curve::mul_add(const BigInt& k1, const BigInt& k2, const FixedBase& q,
+                    ResiduePoint& out) const {
+  check_table(q);
+  BigInt tmp1, tmp2;
+  const std::array<Comb, 2> combs{Comb{&reduced(k1, tmp1), &g_table_},
+                                  Comb{&reduced(k2, tmp2), &q}};
+  ladder(combs, nullptr, nullptr, out);
+}
+
+Point Curve::mul(const BigInt& k, const Point& pt) const {
+  if (pt.infinity) return pt;
+  if (pt == g_) return mul(k, g_table_);
+  BigInt tmp;
+  ResiduePoint out;
+  mul_raw(reduced(k, tmp), to_residue(pt), out);
+  return from_residue(out);
+}
+
+Point Curve::mul(const BigInt& k, const FixedBase& base) const {
+  ResiduePoint out;
+  mul(k, base, out);
+  return from_residue(out);
+}
+
+Point Curve::mul_raw(const BigInt& k, const Point& pt) const {
+  ResiduePoint out;
+  mul_raw(k, to_residue(pt), out);
+  return from_residue(out);
 }
 
 Point Curve::mul_add(const BigInt& k1, const BigInt& k2, const Point& q) const {
-  // Shamir's trick: simultaneous ladder over G and Q.
-  const Jac jg = to_jac(g_);
-  const Jac jq = to_jac(q);
-  const Jac jgq = jac_add(jg, jq);
-  const BigInt a = k1.mod(n_);
-  const BigInt b = k2.mod(n_);
-  const std::size_t bits = std::max(a.bit_length(), b.bit_length());
-  Jac acc = jac_inf();
-  for (std::size_t i = bits; i-- > 0;) {
-    acc = jac_dbl(acc);
-    const bool ba = a.bit(i);
-    const bool bb = b.bit(i);
-    if (ba && bb) acc = jac_add(acc, jgq);
-    else if (ba) acc = jac_add(acc, jg);
-    else if (bb) acc = jac_add(acc, jq);
-  }
-  return from_jac(acc);
+  ResiduePoint out;
+  mul_add(k1, k2, to_residue(q), out);
+  return from_residue(out);
+}
+
+Point Curve::mul_add(const BigInt& k1, const BigInt& k2, const FixedBase& q) const {
+  ResiduePoint out;
+  mul_add(k1, k2, q, out);
+  return from_residue(out);
 }
 
 const Curve& secp160r1() {

@@ -233,6 +233,9 @@ void Executor::ensure_workers() {
 }
 
 void Executor::shard_worker(std::size_t shard_idx) {
+  // Shard s always runs shard s's events, so its track is a pure function
+  // of the workload (frame deposits on it never tie with the host's).
+  OBS_SET_THREAD_TRACK("shard#" + std::to_string(shard_idx));
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(pool_mutex_);
   for (;;) {
@@ -373,6 +376,14 @@ void Executor::drain() {
       // Wake events mark runs runnable; the next iteration resumes them
       // as one global batch.
       const sim::SimTime barrier = *next;
+      // Clocks first, then events: trace timestamps on every thread read
+      // the host scheduler (shard 0), which must already stand at the
+      // barrier when worker shards start executing — otherwise their
+      // events race its advance and carry either time.
+      for (auto& shard : shards_) {
+        const std::lock_guard<std::mutex> lock(shard->mutex);
+        shard->sched->advance_to(barrier);
+      }
       run_phase([this, barrier](std::size_t s) {
         Shard& shard = *shards_[s];
         const std::lock_guard<std::mutex> lock(shard.mutex);

@@ -95,6 +95,29 @@ LimbArena& tls_arena() {
   return arena;
 }
 
+// out = a + b over k limbs; returns the carry out. out may alias a or b.
+Limb add_limbs(const Limb* a, const Limb* b, Limb* out, std::size_t k) {
+  Limb carry = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
+    out[i] = static_cast<Limb>(s);
+    carry = static_cast<Limb>(s >> 64);
+  }
+  return carry;
+}
+
+// out = a - b over k limbs; returns the borrow out. out may alias a or b.
+Limb sub_limbs(const Limb* a, const Limb* b, Limb* out, std::size_t k) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Limb ai = a[i];
+    const Limb bi = b[i];
+    out[i] = ai - bi - borrow;
+    borrow = (ai < bi || (ai == bi && borrow != 0)) ? 1 : 0;
+  }
+  return borrow;
+}
+
 // Conditional final subtraction shared by both Montgomery kernels: the
 // reduced value is t[0..k) plus carry limb `hi` (0 or 1) and lies in
 // [0, 2n); writes the canonical representative to out. `out` may alias the
@@ -114,13 +137,7 @@ void reduce_once(const Limb* t, Limb hi, const Limb* n, std::size_t k, Limb* out
     std::memcpy(out, t, k * sizeof(Limb));
     return;
   }
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb ti = t[i];
-    const Limb ni = n[i];
-    out[i] = ti - ni - borrow;
-    borrow = (ti < ni || (ti == ni && borrow != 0)) ? 1 : 0;
-  }
+  sub_limbs(t, n, out, k);
 }
 
 // Left-to-right (MSB-first) fixed-window scan used by the generic
@@ -940,15 +957,8 @@ void ModContext::add(const Residue& a, const Residue& b, Residue& out) const {
   const std::size_t k = limb_count();
   const Limb* n = mont_ ? n_limbs_.data() : n_.limbs().data();
   if (out.size() != k) out.resize(k);
-  const Limb* pa = a.limbs();
-  const Limb* pb = b.limbs();
   Limb* po = out.limbs();
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 s = static_cast<u128>(pa[i]) + pb[i] + carry;
-    po[i] = static_cast<Limb>(s);
-    carry = static_cast<Limb>(s >> 64);
-  }
+  const Limb carry = add_limbs(a.limbs(), b.limbs(), po, k);
   // Operands are < n, so the sum is < 2n: reduce_once settles it (and is
   // safe with t == out — it decides before it writes).
   reduce_once(po, carry, n, k, po);
@@ -960,24 +970,9 @@ void ModContext::sub(const Residue& a, const Residue& b, Residue& out) const {
   const std::size_t k = limb_count();
   const Limb* n = mont_ ? n_limbs_.data() : n_.limbs().data();
   if (out.size() != k) out.resize(k);
-  const Limb* pa = a.limbs();
-  const Limb* pb = b.limbs();
   Limb* po = out.limbs();
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb ai = pa[i];
-    const Limb bi = pb[i];
-    po[i] = ai - bi - borrow;
-    borrow = (ai < bi || (ai == bi && borrow != 0)) ? 1 : 0;
-  }
-  if (borrow != 0) {  // a < b: wrap back into [0, n) by adding the modulus
-    Limb carry = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const u128 s = static_cast<u128>(po[i]) + n[i] + carry;
-      po[i] = static_cast<Limb>(s);
-      carry = static_cast<Limb>(s >> 64);
-    }
-  }
+  // a < b: wrap back into [0, n) by adding the modulus.
+  if (sub_limbs(a.limbs(), b.limbs(), po, k) != 0) add_limbs(po, n, po, k);
 }
 
 void ModContext::mul(const Residue& a, const Residue& b, Residue& out) const {
@@ -1028,6 +1023,89 @@ void ModContext::sqr(const Residue& a, Residue& out) const {
     out.resize(limb_count());
     r.copy_limbs_to(out.limbs(), out.size());
   }
+  fold(ops);
+}
+
+void ModContext::inv(const Residue& a, Residue& out) const {
+  check_residue(*this, a);
+  if (!mont_) {
+    const BigInt r = inv(BigInt::from_limbs(a.limbs(), a.size()));
+    out.resize(limb_count());
+    r.copy_limbs_to(out.limbs(), out.size());
+    return;
+  }
+  const std::size_t k = k_;
+  const Limb* n = n_limbs_.data();
+  const auto is_zero = [k](const Limb* x) {
+    for (std::size_t i = 0; i < k; ++i) {
+      if (x[i] != 0) return false;
+    }
+    return true;
+  };
+  const auto is_one = [k](const Limb* x) {
+    if (x[0] != 1) return false;
+    for (std::size_t i = 1; i < k; ++i) {
+      if (x[i] != 0) return false;
+    }
+    return true;
+  };
+  // x >>= 1, shifting `top` in as the new most significant bit.
+  const auto shr1 = [k](Limb* x, Limb top) {
+    for (std::size_t i = 0; i + 1 < k; ++i) x[i] = (x[i] >> 1) | (x[i + 1] << 63);
+    x[k - 1] = (x[k - 1] >> 1) | (top << 63);
+  };
+  // x = x / 2 mod n (x + n when x is odd; the sum's carry becomes the top bit).
+  const auto halve = [&](Limb* x) { shr1(x, (x[0] & 1U) != 0 ? add_limbs(x, n, x, k) : 0); };
+  // x = x - y mod n.
+  const auto sub_mod = [&](Limb* x, const Limb* y) {
+    if (sub_limbs(x, y, x, k) != 0) add_limbs(x, n, x, k);
+  };
+  const auto geq = [k](const Limb* x, const Limb* y) {
+    for (std::size_t i = k; i-- > 0;) {
+      if (x[i] != y[i]) return x[i] > y[i];
+    }
+    return true;
+  };
+
+  ArenaFrame frame(tls_arena());
+  Limb* u = frame.alloc(k);
+  Limb* v = frame.alloc(k);
+  Limb* x1 = frame.alloc(k);
+  Limb* x2 = frame.alloc(k);
+  Limb* scratch = frame.alloc(2 * k + 2);
+  std::memcpy(u, a.limbs(), k * sizeof(Limb));
+  std::memcpy(v, n, k * sizeof(Limb));
+  std::memset(x1, 0, k * sizeof(Limb));
+  std::memset(x2, 0, k * sizeof(Limb));
+  x1[0] = 1;
+  // Invariants: x1 * A == u and x2 * A == v (mod n), A the raw residue
+  // limbs. A zero difference means gcd(A, n) > 1.
+  if (is_zero(u)) throw std::domain_error("ModContext::inv: not invertible");
+  while (!is_one(u) && !is_one(v)) {
+    while ((u[0] & 1U) == 0) {
+      shr1(u, 0);
+      halve(x1);
+    }
+    while ((v[0] & 1U) == 0) {
+      shr1(v, 0);
+      halve(x2);
+    }
+    if (geq(u, v)) {
+      sub_limbs(u, v, u, k);
+      sub_mod(x1, x2);
+      if (is_zero(u)) throw std::domain_error("ModContext::inv: not invertible");
+    } else {
+      sub_limbs(v, u, v, k);
+      sub_mod(x2, x1);
+    }
+  }
+  // The loop inverted the raw limbs A = a*R: A^-1 = a^-1 * R^-1. Two R^2
+  // products (each carrying R^-1) lift that to the residue a^-1 * R.
+  Ops ops;
+  if (out.size() != k) out.resize(k);
+  mont_mul_raw(is_one(u) ? x1 : x2, rr_limbs_.data(), out.limbs(), scratch);
+  mont_mul_raw(out.limbs(), rr_limbs_.data(), out.limbs(), scratch);
+  ops.muls += 2;
   fold(ops);
 }
 

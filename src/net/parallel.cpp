@@ -2,8 +2,11 @@
 
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/trace.h"
 
 namespace idgka::net {
 
@@ -36,9 +39,18 @@ void parallel_run(std::size_t workers, const std::function<void(std::size_t)>& t
     }
   };
 
+  // Worker w always takes the same slice, so naming its trace track after
+  // the caller's keeps same-timestamp events from different workers in a
+  // deterministic export order.
+  const std::string track = obs::trace_enabled() ? obs::thread_track() : std::string();
   std::vector<std::thread> pool;
   pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(guarded, w);
+  for (std::size_t w = 1; w < workers; ++w) {
+    pool.emplace_back([&guarded, &track, w] {
+      if (!track.empty()) OBS_SET_THREAD_TRACK(track + "/" + std::to_string(w));
+      guarded(w);
+    });
+  }
   guarded(0);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);

@@ -116,9 +116,11 @@ void do_emit(Phase phase, const char* name, const char* cat, std::uint64_t arg,
 
 /// All live events across all rings, with their track names, ordered by
 /// (timestamp, track, per-thread seq). Ties between identically-named
-/// tracks fall back to ring registration order (stable sort), which is the
-/// only nondeterministic input — the engine avoids it by making run track
-/// names unique ("<name>#<id>").
+/// tracks would fall back to ring registration order (stable sort), the
+/// only nondeterministic input; every thread the library starts therefore
+/// names its track from the workload: engine runs "<name>#<id>", executor
+/// shard workers "shard#<index>", fork-join workers "<caller>/<worker>".
+/// Only the host thread keeps the default "thread".
 struct TrackedEvent {
   const std::string* track;
   Event event;
@@ -244,6 +246,11 @@ void set_thread_track(std::string track) {
     const std::lock_guard<std::mutex> lock(recorder().mu);
     st.ring->track = st.track;
   }
+}
+
+std::string thread_track() {
+  const std::string& track = t_state.track;
+  return track.empty() ? std::string("thread") : track;
 }
 
 void set_ring_capacity(std::size_t capacity) {

@@ -10,7 +10,7 @@ namespace {
 
 // Finds a curve point (x, y) with x derived from `data` and a counter, then
 // clears the cofactor to land in the order-q subgroup.
-ec::Point hash_to_subgroup(const mpint::SupersingularParams& params, const ec::Curve* curve,
+ec::Point hash_to_subgroup(const mpint::SupersingularParams& params, const ec::Curve& curve,
                            std::span<const std::uint8_t> data) {
   for (std::uint32_t counter = 0;; ++counter) {
     hash::Sha256 h;
@@ -32,11 +32,11 @@ ec::Point hash_to_subgroup(const mpint::SupersingularParams& params, const ec::C
                            .mod(params.p);
     if (rhs.is_zero()) continue;  // would give 2-torsion point
     BigInt y;
-    if (!mpint::sqrt_mod_p3(curve->field(), rhs, y)) continue;
+    if (!mpint::sqrt_mod_p3(curve.field(), rhs, y)) continue;
     ec::Point pt{x, y, false};
     // Clear the cofactor; the result has order q (or is O if pt was in the
     // complementary subgroup — retry then).
-    pt = curve->mul_raw(params.cofactor, pt);
+    pt = curve.mul_raw(params.cofactor, pt);
     if (pt.infinity) continue;
     return pt;
   }
@@ -46,26 +46,24 @@ ec::Point hash_to_subgroup(const mpint::SupersingularParams& params, const ec::C
 
 SsGroup::SsGroup(mpint::SupersingularParams params)
     : params_(std::move(params)), fp2_(params_.p) {
-  // Bootstrap: build a temporary curve with a throwaway generator to obtain
-  // scalar multiplication, then derive the real subgroup generator.
-  // y^2 = x^3 + x  =>  a = 1, b = 0. The point (0, 0) is on the curve (it is
-  // the 2-torsion point), which we use purely as a constructor placeholder.
-  ec::Curve bootstrap("ss-bootstrap", params_.p, BigInt{1}, BigInt{}, ec::Point{BigInt{}, BigInt{}, false},
-                      params_.q, params_.cofactor);
+  // y^2 = x^3 + x  =>  a = 1, b = 0. The generator is MapToPoint of a fixed
+  // label, found on the curve itself before its comb table is built.
   const std::string_view label = "idgka-ss-generator";
-  const ec::Point g = hash_to_subgroup(
-      params_, &bootstrap,
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(label.data()),
-                                    label.size()));
-  curve_ = std::make_unique<ec::Curve>("ss", params_.p, BigInt{1}, BigInt{}, g, params_.q,
+  const auto derive = [this, label](const ec::Curve& curve) {
+    return hash_to_subgroup(
+        params_, curve,
+        std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(label.data()),
+                                      label.size()));
+  };
+  curve_ = std::make_unique<ec::Curve>("ss", params_.p, BigInt{1}, BigInt{}, derive, params_.q,
                                        params_.cofactor);
-  if (!curve_->mul(params_.q, g).infinity) {
+  if (!curve_->mul_raw(params_.q, curve_->generator()).infinity) {
     throw std::logic_error("SsGroup: generator does not have order q");
   }
 }
 
 ec::Point SsGroup::map_to_point(std::span<const std::uint8_t> data) const {
-  return hash_to_subgroup(params_, curve_.get(), data);
+  return hash_to_subgroup(params_, *curve_, data);
 }
 
 ec::Point SsGroup::map_to_point(std::string_view label) const {

@@ -48,6 +48,7 @@ CertificateAuthority::CertificateAuthority(sig::DsaParams params,
 CertificateAuthority::CertificateAuthority(const ec::Curve& curve, mpint::Rng& rng)
     : algorithm_(CertAlgorithm::kEcdsa), curve_(&curve) {
   ec_key_ = sig::ecdsa_generate_keypair(curve, rng);
+  ec_key_table_ = curve.make_fixed_base(ec_key_->q);
 }
 
 Certificate CertificateAuthority::issue(std::uint32_t subject_id,
@@ -82,7 +83,7 @@ bool CertificateAuthority::verify(const Certificate& cert, std::uint64_t at_time
     return sig::dsa_verify(*dsa_params_, *dsa_ctx_, dsa_key_->y, tbs,
                            sig::DsaSignature{cert.sig_r, cert.sig_s});
   }
-  return sig::ecdsa_verify(*curve_, ec_key_->q, tbs,
+  return sig::ecdsa_verify(*curve_, *ec_key_table_, tbs,
                            sig::EcdsaSignature{cert.sig_r, cert.sig_s});
 }
 

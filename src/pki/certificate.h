@@ -76,6 +76,7 @@ class CertificateAuthority {
   // ECDSA state
   const ec::Curve* curve_ = nullptr;
   std::optional<sig::EcdsaKeyPair> ec_key_;
+  std::optional<ec::FixedBase> ec_key_table_;  ///< comb table of ec_key_->q
   std::uint64_t next_serial_ = 1;
   std::uint64_t now_ = 1'750'000'000;  ///< simulated clock (epoch seconds)
 };

@@ -32,6 +32,12 @@ struct EcdsaSignature {
                                 std::span<const std::uint8_t> message,
                                 const EcdsaSignature& sig);
 
+/// Same, against a comb table of the public key (Curve::make_fixed_base) —
+/// the shape of a CA verifying the certificates it issued.
+[[nodiscard]] bool ecdsa_verify(const ec::Curve& curve, const ec::FixedBase& pub,
+                                std::span<const std::uint8_t> message,
+                                const EcdsaSignature& sig);
+
 /// Wire size: r and s at |n| bits each (paper treats them as 2 x 160).
 [[nodiscard]] std::size_t ecdsa_signature_bits(const ec::Curve& curve);
 

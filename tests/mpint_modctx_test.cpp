@@ -336,6 +336,36 @@ TEST(ModContext, ResidueEdgeCases) {
   }
 }
 
+TEST(ModContext, ResidueInverseMatchesBigIntInverse) {
+  XoshiroRng rng(40408);
+  for (int i = 0; i < 300; ++i) {
+    // Odd moduli run the limb binary Euclid, even ones the BigInt fallback;
+    // composite moduli make some operands non-invertible.
+    const std::size_t bits = 8 + static_cast<std::size_t>(rng.next_u64() % 600);
+    BigInt m = random_bits(rng, bits);
+    if (m <= BigInt{2}) m = BigInt{3};
+    if ((i % 5 == 0) == m.is_odd()) m += BigInt{1};
+    const ModContext ctx(m);
+    const BigInt a = random_below(rng, m);
+    Residue r;
+    if (a.is_zero() || !gcd(a, m).is_one()) {
+      EXPECT_THROW(ctx.inv(ctx.to_residue(a), r), std::domain_error) << m.to_hex();
+      continue;
+    }
+    ctx.inv(ctx.to_residue(a), r);
+    EXPECT_EQ(ctx.from_residue(r), ctx.inv(a)) << "a=" << a.to_hex() << " m=" << m.to_hex();
+    ctx.inv(r, r);  // aliasing-safe, and an involution
+    EXPECT_EQ(ctx.from_residue(r), a) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  }
+  const ModContext ctx(BigInt{101});
+  Residue r;
+  ctx.inv(ctx.one_residue(), r);
+  EXPECT_EQ(ctx.from_residue(r), BigInt{1});
+  ctx.inv(ctx.to_residue(BigInt{100}), r);
+  EXPECT_EQ(ctx.from_residue(r), BigInt{100});  // (p-1)^-1 = p-1
+  EXPECT_THROW(ctx.inv(ctx.to_residue(BigInt{}), r), std::domain_error);
+}
+
 TEST(ModContext, ResidueOpsAreAliasingSafe) {
   XoshiroRng rng(40407);
   BigInt m = random_bits(rng, 512);

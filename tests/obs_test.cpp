@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/parallel.h"
 #include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/registry.h"
@@ -325,6 +326,24 @@ TEST(Trace, CrossThreadTracksAreDeterministicallyOrdered) {
   EXPECT_LT(meta_a, meta_b);
   EXPECT_NE(json.find(R"("name":"from-a")"), std::string::npos);
   EXPECT_NE(json.find(R"("name":"from-b")"), std::string::npos);
+}
+
+TEST(Trace, ForkJoinWorkersNameTheirTracksAfterTheCaller) {
+  TraceFixture fixture;
+  std::thread caller([] {
+    EXPECT_EQ(obs::thread_track(), "thread");  // unnamed until set
+    obs::set_thread_track("caller");
+    EXPECT_EQ(obs::thread_track(), "caller");
+    net::parallel_run(3, [](std::size_t) { obs::emit(obs::Phase::kInstant, "work", "test"); });
+  });
+  caller.join();
+  const std::string json = obs::export_chrome_trace();
+  // Worker w always takes the same slice, so its track name is fixed too.
+  for (const char* track : {"caller", "caller/1", "caller/2"}) {
+    EXPECT_NE(json.find(std::string(R"("args":{"name":")") + track + "\"}"), std::string::npos)
+        << track << '\n' << json;
+  }
+  EXPECT_EQ(json.find(R"("args":{"name":"thread"})"), std::string::npos) << json;
 }
 
 TEST(Trace, DisabledEmitsNothing) {
