@@ -99,17 +99,19 @@ Sha256& Sha256::update(std::string_view s) {
 }
 
 Sha256::Digest Sha256::finalize() {
+  // buffer_len_ < 64 here: update() compresses every full block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::array<std::uint8_t, 8> len_be{};
-  for (int i = 0; i < 8; ++i) {
-    len_be[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  // update() counts these bytes in total_len_, but we already captured bit_len.
-  update(len_be);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[static_cast<std::size_t>(56 + i)] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  }
+  process_block(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

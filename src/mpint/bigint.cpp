@@ -1,10 +1,13 @@
 #include "mpint/bigint.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "mpint/bingcd.h"
 
 namespace idgka::mpint {
 
@@ -498,15 +501,48 @@ BigInt BigInt::mod(const BigInt& m) const {
   return r;
 }
 
-BigInt gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a.abs();
-  BigInt y = b.abs();
-  while (!y.is_zero()) {
-    BigInt t = x.mod(y);
-    x = std::move(y);
-    y = std::move(t);
+namespace {
+
+// Caller scratch for the binary-GCD kernel (at most 4 limbs per operand
+// limb): on the stack for operands up to 32 limbs, the Residue inline width,
+// one heap block beyond.
+class KernelScratch {
+ public:
+  explicit KernelScratch(std::size_t limbs) {
+    if (limbs > inline_.size()) heap_.resize(limbs);
   }
-  return x;
+  BigInt::Limb* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+
+ private:
+  std::array<BigInt::Limb, 4 * 32> inline_;  // written before every read
+  std::vector<BigInt::Limb> heap_;
+};
+
+// Index of the lowest set bit of a non-zero magnitude.
+std::size_t trailing_zeros(const BigInt& x) {
+  std::size_t i = 0;
+  while (x.limb(i) == 0) ++i;
+  return i * 64 + static_cast<std::size_t>(__builtin_ctzll(x.limb(i)));
+}
+
+}  // namespace
+
+BigInt gcd(const BigInt& a, const BigInt& b) {
+  if (a.is_zero()) return b.abs();
+  if (b.is_zero()) return a.abs();
+  // gcd(a, b) = 2^min(za, zb) * gcd(a >> za, b >> zb), the kernel's b odd.
+  const std::size_t za = trailing_zeros(a);
+  const std::size_t zb = trailing_zeros(b);
+  const BigInt x = a.abs() >> za;
+  const BigInt y = b.abs() >> zb;
+  const std::size_t k = std::max(x.limb_count(), y.limb_count());
+  KernelScratch scratch(2 * k);
+  BigInt::Limb* xl = scratch.data();
+  BigInt::Limb* yl = xl + k;
+  x.copy_limbs_to(xl, k);
+  y.copy_limbs_to(yl, k);
+  bingcd(xl, yl, k);
+  return BigInt::from_limbs(yl, k) << std::min(za, zb);
 }
 
 BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y) {
@@ -530,6 +566,21 @@ BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y) {
 
 BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   if (m <= BigInt{0}) throw std::domain_error("mod_inverse: modulus must be positive");
+  if (m.is_odd()) {
+    const std::size_t k = m.limb_count();
+    KernelScratch scratch(k + bingcd_scratch_limbs(k));
+    BigInt::Limb* y = scratch.data();  // operand in, inverse out
+    if (a.negative() || a >= m) {
+      a.mod(m).copy_limbs_to(y, k);
+    } else {
+      a.copy_limbs_to(y, k);
+    }
+    if (!bingcd_inverse(y, m.limbs().data(), k, y, y + k)) {
+      throw std::domain_error("mod_inverse: not invertible");
+    }
+    return BigInt::from_limbs(y, k);
+  }
+  // Even moduli (GQ key generation's e^-1 mod phi) take extended Euclid.
   BigInt x;
   BigInt y;
   const BigInt g = egcd(a.mod(m), m, x, y);

@@ -131,13 +131,17 @@ class BigInt {
   std::vector<Limb> limbs_;  // little-endian magnitude
 };
 
-/// Greatest common divisor of |a| and |b| (binary GCD).
+/// Greatest common divisor of |a| and |b|: the common power of two is
+/// stripped, then the binary-GCD kernel (bingcd.h) runs on the odd parts.
+/// Variable-time.
 [[nodiscard]] BigInt gcd(const BigInt& a, const BigInt& b);
 
-/// Extended GCD: returns g = gcd(a, b) and sets x, y with a*x + b*y == g.
+/// Extended GCD (Euclid): returns g = gcd(a, b) and sets x, y with
+/// a*x + b*y == g.
 BigInt egcd(const BigInt& a, const BigInt& b, BigInt& x, BigInt& y);
 
-/// Modular inverse of a modulo m (m > 0). Throws std::domain_error when
+/// Modular inverse of a modulo m (m > 0). Odd m runs the binary-GCD kernel,
+/// even m extended Euclid. Variable-time. Throws std::domain_error when
 /// gcd(a, m) != 1.
 [[nodiscard]] BigInt mod_inverse(const BigInt& a, const BigInt& m);
 

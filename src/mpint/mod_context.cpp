@@ -6,6 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "mpint/bingcd.h"
+#include "mpint/limbs.h"
 #include "obs/trace.h"
 
 namespace idgka::mpint {
@@ -19,13 +21,6 @@ std::atomic<std::uint64_t> g_exps{0};
 std::atomic<std::uint64_t> g_mod_muls{0};
 std::atomic<std::uint64_t> g_mod_sqrs{0};
 std::atomic<std::uint64_t> g_multi_exps{0};
-
-// -n^{-1} mod 2^64 via Newton iteration (n odd).
-Limb neg_inv64(Limb n) {
-  Limb x = n;  // correct to 3 bits
-  for (int i = 0; i < 5; ++i) x *= 2 - n * x;
-  return ~x + 1;  // -(n^{-1})
-}
 
 unsigned clamp_window(unsigned w) { return w < 2 ? 2 : (w > 8 ? 8 : w); }
 
@@ -95,49 +90,16 @@ LimbArena& tls_arena() {
   return arena;
 }
 
-// out = a + b over k limbs; returns the carry out. out may alias a or b.
-Limb add_limbs(const Limb* a, const Limb* b, Limb* out, std::size_t k) {
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 s = static_cast<u128>(a[i]) + b[i] + carry;
-    out[i] = static_cast<Limb>(s);
-    carry = static_cast<Limb>(s >> 64);
-  }
-  return carry;
-}
-
-// out = a - b over k limbs; returns the borrow out. out may alias a or b.
-Limb sub_limbs(const Limb* a, const Limb* b, Limb* out, std::size_t k) {
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb ai = a[i];
-    const Limb bi = b[i];
-    out[i] = ai - bi - borrow;
-    borrow = (ai < bi || (ai == bi && borrow != 0)) ? 1 : 0;
-  }
-  return borrow;
-}
-
 // Conditional final subtraction shared by both Montgomery kernels: the
 // reduced value is t[0..k) plus carry limb `hi` (0 or 1) and lies in
 // [0, 2n); writes the canonical representative to out. `out` may alias the
 // kernel operands but never `t` (which lives in scratch).
 void reduce_once(const Limb* t, Limb hi, const Limb* n, std::size_t k, Limb* out) {
-  bool ge = hi != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (!ge) {
+  if (hi == 0 && !limbs::geq(t, n, k)) {
     std::memcpy(out, t, k * sizeof(Limb));
     return;
   }
-  sub_limbs(t, n, out, k);
+  limbs::sub(t, n, out, k);
 }
 
 // Left-to-right (MSB-first) fixed-window scan used by the generic
@@ -219,7 +181,7 @@ ModContext::ModContext(BigInt modulus, unsigned window_bits) : n_(std::move(modu
   if (!mont_) return;  // generic path needs nothing precomputed
   n_limbs_ = n_.limbs();
   k_ = n_limbs_.size();
-  n0_inv_ = neg_inv64(n_limbs_[0]);
+  n0_inv_ = limbs::neg_inv64(n_limbs_[0]);
   rr_ = (BigInt{1} << (2 * 64 * k_)).mod(n_);
   rr_limbs_ = rr_.limbs();
   rr_limbs_.resize(k_, 0);
@@ -958,7 +920,7 @@ void ModContext::add(const Residue& a, const Residue& b, Residue& out) const {
   const Limb* n = mont_ ? n_limbs_.data() : n_.limbs().data();
   if (out.size() != k) out.resize(k);
   Limb* po = out.limbs();
-  const Limb carry = add_limbs(a.limbs(), b.limbs(), po, k);
+  const Limb carry = limbs::add(a.limbs(), b.limbs(), po, k);
   // Operands are < n, so the sum is < 2n: reduce_once settles it (and is
   // safe with t == out — it decides before it writes).
   reduce_once(po, carry, n, k, po);
@@ -972,7 +934,7 @@ void ModContext::sub(const Residue& a, const Residue& b, Residue& out) const {
   if (out.size() != k) out.resize(k);
   Limb* po = out.limbs();
   // a < b: wrap back into [0, n) by adding the modulus.
-  if (sub_limbs(a.limbs(), b.limbs(), po, k) != 0) add_limbs(po, n, po, k);
+  if (limbs::sub(a.limbs(), b.limbs(), po, k) != 0) limbs::add(po, n, po, k);
 }
 
 void ModContext::mul(const Residue& a, const Residue& b, Residue& out) const {
@@ -1034,76 +996,17 @@ void ModContext::inv(const Residue& a, Residue& out) const {
     r.copy_limbs_to(out.limbs(), out.size());
     return;
   }
-  const std::size_t k = k_;
-  const Limb* n = n_limbs_.data();
-  const auto is_zero = [k](const Limb* x) {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (x[i] != 0) return false;
-    }
-    return true;
-  };
-  const auto is_one = [k](const Limb* x) {
-    if (x[0] != 1) return false;
-    for (std::size_t i = 1; i < k; ++i) {
-      if (x[i] != 0) return false;
-    }
-    return true;
-  };
-  // x >>= 1, shifting `top` in as the new most significant bit.
-  const auto shr1 = [k](Limb* x, Limb top) {
-    for (std::size_t i = 0; i + 1 < k; ++i) x[i] = (x[i] >> 1) | (x[i + 1] << 63);
-    x[k - 1] = (x[k - 1] >> 1) | (top << 63);
-  };
-  // x = x / 2 mod n (x + n when x is odd; the sum's carry becomes the top bit).
-  const auto halve = [&](Limb* x) { shr1(x, (x[0] & 1U) != 0 ? add_limbs(x, n, x, k) : 0); };
-  // x = x - y mod n.
-  const auto sub_mod = [&](Limb* x, const Limb* y) {
-    if (sub_limbs(x, y, x, k) != 0) add_limbs(x, n, x, k);
-  };
-  const auto geq = [k](const Limb* x, const Limb* y) {
-    for (std::size_t i = k; i-- > 0;) {
-      if (x[i] != y[i]) return x[i] > y[i];
-    }
-    return true;
-  };
-
   ArenaFrame frame(tls_arena());
-  Limb* u = frame.alloc(k);
-  Limb* v = frame.alloc(k);
-  Limb* x1 = frame.alloc(k);
-  Limb* x2 = frame.alloc(k);
-  Limb* scratch = frame.alloc(2 * k + 2);
-  std::memcpy(u, a.limbs(), k * sizeof(Limb));
-  std::memcpy(v, n, k * sizeof(Limb));
-  std::memset(x1, 0, k * sizeof(Limb));
-  std::memset(x2, 0, k * sizeof(Limb));
-  x1[0] = 1;
-  // Invariants: x1 * A == u and x2 * A == v (mod n), A the raw residue
-  // limbs. A zero difference means gcd(A, n) > 1.
-  if (is_zero(u)) throw std::domain_error("ModContext::inv: not invertible");
-  while (!is_one(u) && !is_one(v)) {
-    while ((u[0] & 1U) == 0) {
-      shr1(u, 0);
-      halve(x1);
-    }
-    while ((v[0] & 1U) == 0) {
-      shr1(v, 0);
-      halve(x2);
-    }
-    if (geq(u, v)) {
-      sub_limbs(u, v, u, k);
-      sub_mod(x1, x2);
-      if (is_zero(u)) throw std::domain_error("ModContext::inv: not invertible");
-    } else {
-      sub_limbs(v, u, v, k);
-      sub_mod(x2, x1);
-    }
+  Limb* x = frame.alloc(k_);
+  Limb* scratch = frame.alloc(std::max(bingcd_scratch_limbs(k_), 2 * k_ + 2));
+  if (!bingcd_inverse(a.limbs(), n_limbs_.data(), k_, x, scratch)) {
+    throw std::domain_error("ModContext::inv: not invertible");
   }
-  // The loop inverted the raw limbs A = a*R: A^-1 = a^-1 * R^-1. Two R^2
+  // The kernel inverted the raw limbs A = a*R: A^-1 = a^-1 * R^-1. Two R^2
   // products (each carrying R^-1) lift that to the residue a^-1 * R.
   Ops ops;
-  if (out.size() != k) out.resize(k);
-  mont_mul_raw(is_one(u) ? x1 : x2, rr_limbs_.data(), out.limbs(), scratch);
+  if (out.size() != k_) out.resize(k_);
+  mont_mul_raw(x, rr_limbs_.data(), out.limbs(), scratch);
   mont_mul_raw(out.limbs(), rr_limbs_.data(), out.limbs(), scratch);
   ops.muls += 2;
   fold(ops);

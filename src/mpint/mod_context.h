@@ -192,11 +192,11 @@ class ModContext {
   void sqr(const Residue& a, Residue& out) const;
 
   /// out = a^(-1) in the residue domain; throws std::domain_error when a is
-  /// not invertible. Odd moduli run a binary extended Euclid on raw limbs —
-  /// shifts and subtractions only, no division, no heap traffic — and put
-  /// the Montgomery factor back with two R^2 products; even moduli
-  /// round-trip through inv(BigInt). Batch inversion callers (EC table
-  /// normalisation) pay one of these per batch.
+  /// not invertible. Odd moduli run the binary-GCD kernel (bingcd.h) on the
+  /// raw limbs — no division, no heap traffic — and put the Montgomery
+  /// factor back with two R^2 products; even moduli round-trip through
+  /// inv(BigInt). Batch inversion callers (EC table normalisation) pay one
+  /// of these per batch.
   void inv(const Residue& a, Residue& out) const;
 
   /// out = base^e in the residue domain. Negative e round-trips through

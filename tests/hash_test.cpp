@@ -47,7 +47,20 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256, BoundarySizes) {
-  // Exercise padding around the 55/56/64-byte boundaries.
+  // Padding around the 55/56/64-byte boundaries: one-shot and byte-at-a-time
+  // agree, and the lengths where the length field does or does not fit the
+  // last block match Python hashlib digests of 'x' * len.
+  const std::pair<std::size_t, std::string_view> known[] = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+  };
+  for (const auto& [len, digest] : known) {
+    EXPECT_EQ(hex(Sha256::digest(std::string(len, 'x'))), digest) << "len=" << len;
+  }
   for (std::size_t len : {55U, 56U, 57U, 63U, 64U, 65U, 119U, 120U, 128U}) {
     const std::string msg(len, 'x');
     Sha256 a;
@@ -56,6 +69,30 @@ TEST(Sha256, BoundarySizes) {
     for (char c : msg) b.update(std::string_view(&c, 1));
     EXPECT_EQ(a.finalize(), b.finalize()) << "len=" << len;
   }
+}
+
+TEST(Sha256, EveryLengthIncrementalMatchesOneShot) {
+  // Lengths 0..200 cover every padding position over three blocks. Each
+  // length is hashed one-shot, byte at a time and in three uneven pieces;
+  // the one-shot digests, chained, match the Python hashlib digest of the
+  // same chain.
+  std::vector<std::uint8_t> msg(200);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  Sha256 chain;
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const std::span<const std::uint8_t> m(msg.data(), len);
+    const auto one_shot = Sha256::digest(m);
+    Sha256 bytes;
+    for (std::size_t i = 0; i < len; ++i) bytes.update(m.subspan(i, 1));
+    EXPECT_EQ(bytes.finalize(), one_shot) << "len=" << len;
+    Sha256 pieces;
+    pieces.update(m.first(len / 3)).update(m.subspan(len / 3, len / 2)).update(
+        m.subspan(len / 3 + len / 2));
+    EXPECT_EQ(pieces.finalize(), one_shot) << "len=" << len;
+    chain.update(one_shot);
+  }
+  EXPECT_EQ(hex(chain.finalize()),
+            "09bba6f21f157de4b22c6e4e84e0fe17119f27833e9cd1aaaeb82855755a2130");
 }
 
 TEST(Hmac, Rfc4231Vectors) {

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "mpint/bingcd.h"
 #include "mpint/random.h"
 
 namespace idgka::mpint {
@@ -220,6 +226,160 @@ TEST(NumberTheory, ModInverse) {
     const BigInt a = random_range(rng, BigInt{1}, m);
     EXPECT_EQ(mod_mul(a, mod_inverse(a, m), m), BigInt{1});
   }
+}
+
+// ---------------------------------------------------------------------------
+// Binary-GCD kernel (gcd, mod_inverse for odd m) against extended Euclid
+// ---------------------------------------------------------------------------
+
+BigInt egcd_gcd(const BigInt& a, const BigInt& b) {
+  BigInt x;
+  BigInt y;
+  return egcd(a.abs(), b.abs(), x, y);
+}
+
+// Checks mod_inverse(a, m) against egcd: the same inverse, or a throw
+// exactly when gcd(a, m) != 1.
+void expect_inverse_matches_egcd(const BigInt& a, const BigInt& m) {
+  BigInt x;
+  BigInt y;
+  const BigInt g = egcd(a.mod(m), m, x, y);
+  if (g.is_one()) {
+    EXPECT_EQ(mod_inverse(a, m), x.mod(m)) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  } else {
+    EXPECT_THROW((void)mod_inverse(a, m), std::domain_error)
+        << "a=" << a.to_hex() << " m=" << m.to_hex();
+  }
+}
+
+// Rounds the kernel runs on (a mod m, m), checked against the
+// ceil((2 * bitlen(m) - 1) / 31) bound of the 31-step outer loop.
+void expect_rounds_within_bound(const BigInt& a, const BigInt& m) {
+  const std::size_t k = m.limb_count();
+  std::vector<BigInt::Limb> x(k);
+  std::vector<BigInt::Limb> y(k);
+  a.mod(m).copy_limbs_to(x.data(), k);
+  m.copy_limbs_to(y.data(), k);
+  const std::size_t rounds = bingcd(x.data(), y.data(), k);
+  const std::size_t bound = (2 * m.bit_length() - 1 + 30) / 31;
+  EXPECT_LE(rounds, bound) << "m bits=" << m.bit_length();
+  EXPECT_EQ(BigInt::from_limbs(y.data(), k), egcd_gcd(a.mod(m), m));
+}
+
+TEST(BinaryGcd, ModInverseMatchesEgcdAtEveryWidth) {
+  // 1..33 limbs crosses the 32-limb bound where the kernel scratch moves
+  // from the stack to the heap; bit lengths vary inside each width.
+  XoshiroRng rng(2020);
+  for (std::size_t limbs = 1; limbs <= 33; ++limbs) {
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      const std::size_t bits = std::max<std::size_t>(2, limbs * 64 - trial * 7 % 64);
+      BigInt m = random_bits(rng, bits);
+      if (m.is_even()) m += BigInt{1};
+      const BigInt a = random_below(rng, m);
+      expect_inverse_matches_egcd(a, m);
+      expect_rounds_within_bound(a, m);
+      expect_rounds_within_bound(m - BigInt{1}, m);
+      if (trial >= 2) continue;
+      for (const BigInt& edge : {BigInt{0}, BigInt{1}, m - BigInt{1}, m, m + BigInt{1},
+                                 m * BigInt{2} + BigInt{3}, -a, -(m + a)}) {
+        expect_inverse_matches_egcd(edge, m);
+      }
+    }
+  }
+}
+
+TEST(BinaryGcd, ModInverseNonUnitsAndUnitModulus) {
+  XoshiroRng rng(977);
+  for (const std::size_t bits : {8U, 64U, 80U, 160U, 512U, 1040U}) {
+    BigInt p = random_bits(rng, bits);
+    BigInt q = random_bits(rng, bits + 3);
+    if (p.is_even()) p += BigInt{1};
+    if (q.is_even()) q += BigInt{1};
+    const BigInt m = p * q;
+    for (const BigInt& a : {p, q, p * BigInt{5}, p * random_bits(rng, bits / 2 + 1), m - p}) {
+      EXPECT_THROW((void)mod_inverse(a, m), std::domain_error) << "bits=" << bits;
+      expect_rounds_within_bound(a, m);
+    }
+    expect_inverse_matches_egcd(p * q + BigInt{2}, m);
+  }
+  // m = 1: every value is congruent to 0, whose inverse is 0.
+  for (const BigInt& a : {BigInt{0}, BigInt{1}, BigInt{7}, BigInt{-3}}) {
+    EXPECT_EQ(mod_inverse(a, BigInt{1}), BigInt{0});
+  }
+  // Odd moduli divisible by the operand's small factors.
+  EXPECT_THROW((void)mod_inverse(BigInt{0}, BigInt{9}), std::domain_error);
+  EXPECT_THROW((void)mod_inverse(BigInt{15}, BigInt{45}), std::domain_error);
+  // A common factor whose low limb is 1: the unit check reads every limb.
+  const BigInt low_limb_one = (BigInt{1} << 130) + BigInt{1};
+  const BigInt m = low_limb_one * BigInt::from_dec("1000000007");
+  EXPECT_THROW((void)mod_inverse(low_limb_one * BigInt{3}, m), std::domain_error);
+  EXPECT_EQ(gcd(low_limb_one * BigInt{3}, m), low_limb_one);
+}
+
+TEST(BinaryGcd, RoundsWithNegativeIntermediates) {
+  // When a and b agree in their top bits, the 64-bit approximations now and
+  // then pick the wrong subtraction order; that round's combination comes
+  // out negative and is negated together with its matrix row. These pairs
+  // make a go negative (about 1 random pair in 20 000 does); operands just
+  // below m make b go negative in most runs.
+  const std::pair<std::string_view, std::string_view> negative_a[] = {
+      {"f5e0f2393d79423cafc85ecef5c32bd1", "f5e0f2393d79423cafc85fba412ab5fd"},
+      {"1bda9cea5cc4eb3b138cb0a122ee9eaf8699207f4212ae85",
+       "1bda9cea5cc4eb3b138cb0a122ee9eaf8699209966ee0aab"},
+      {"1405783311f903c8c929aabc44cdf2f3b7aed", "280af06623f2079192535578899be5d546a73"},
+      {"bc737cabb0853b2a0ff9a120e83e96292a54", "bc737cabb0853b2a0ff9a120e83e9723f5cb"},
+      {"2027659293ed9afac91db9d7", "2027659293ed9b2c8e512723"},
+      {"5d56fac5a54628a7e4fb1f07", "1ae90ba68cd7215f25d6876a27"},
+  };
+  for (const auto& [a, m] : negative_a) {
+    expect_inverse_matches_egcd(BigInt::from_hex(a), BigInt::from_hex(m));
+    expect_rounds_within_bound(BigInt::from_hex(a), BigInt::from_hex(m));
+  }
+  XoshiroRng rng(8);
+  for (std::size_t i = 0; i < 200; ++i) {
+    BigInt m = random_bits(rng, 65 + i * 13 % 1000);
+    if (m.is_even()) m += BigInt{1};
+    const BigInt a = m - random_bits(rng, 1 + i % 40);
+    expect_inverse_matches_egcd(a, m);
+    expect_rounds_within_bound(a, m);
+  }
+}
+
+TEST(BinaryGcd, GcdMatchesEgcdAtEveryWidth) {
+  XoshiroRng rng(31);
+  for (std::size_t limbs = 1; limbs <= 33; ++limbs) {
+    for (std::size_t trial = 0; trial < 12; ++trial) {
+      const std::size_t bits = limbs * 64 - trial * 5 % 64;
+      const BigInt f = random_bits(rng, 1 + trial * 3);  // shared factor
+      const BigInt a = random_bits(rng, bits) * f << (trial % 4);
+      const BigInt b = random_bits(rng, bits / 2 + 1) * f << (trial % 3);
+      const BigInt g = egcd_gcd(a, b);
+      EXPECT_EQ(gcd(a, b), g) << "limbs=" << limbs;
+      EXPECT_EQ(gcd(b, a), g) << "limbs=" << limbs;
+      EXPECT_EQ(gcd(-a, b), g) << "limbs=" << limbs;
+    }
+  }
+}
+
+TEST(BinaryGcd, GcdEdgeOperands) {
+  XoshiroRng rng(5);
+  const BigInt big = random_bits(rng, 700);
+  const BigInt odd = big.is_odd() ? big : big + BigInt{1};
+  // Zero operands.
+  EXPECT_EQ(gcd(BigInt{0}, BigInt{0}), BigInt{0});
+  EXPECT_EQ(gcd(big, BigInt{0}), big);
+  EXPECT_EQ(gcd(BigInt{0}, -big), big);
+  // Equal operands.
+  EXPECT_EQ(gcd(big, big), big);
+  EXPECT_EQ(gcd(odd, -odd), odd);
+  // Both even: the common power of two survives, the rest is stripped.
+  EXPECT_EQ(gcd(BigInt{1} << 200, BigInt{1} << 130), BigInt{1} << 130);
+  EXPECT_EQ(gcd(odd << 70, odd << 3), odd << 3);
+  EXPECT_EQ(gcd(BigInt{48} << 64, BigInt{180} << 66), BigInt{12} << 66);
+  EXPECT_EQ(gcd(big << 9, BigInt{6}), egcd_gcd(big << 9, BigInt{6}));
+  // Operands of very different widths.
+  EXPECT_EQ(gcd(odd, BigInt{3}), egcd_gcd(odd, BigInt{3}));
+  EXPECT_EQ(gcd(BigInt{1}, big), BigInt{1});
 }
 
 TEST(NumberTheory, ModExpKnownValues) {

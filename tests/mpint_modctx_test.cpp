@@ -2,6 +2,12 @@
 // exponentiation cross-checked against naive square-and-multiply, the
 // even-modulus fallback path, fixed-base comb tables and the process-wide
 // operation counters.
+
+// Interpose global operator new/delete for this binary: the steady-state
+// residue inverse must not touch the heap.
+#define IDGKA_BENCH_COUNT_ALLOCS
+#include "../bench/bench_util.h"
+
 #include "mpint/mod_context.h"
 
 #include <gtest/gtest.h>
@@ -336,10 +342,18 @@ TEST(ModContext, ResidueEdgeCases) {
   }
 }
 
+// Inverse through extended Euclid, the reference for the binary-GCD kernel.
+BigInt egcd_inverse(const BigInt& a, const BigInt& m) {
+  BigInt x;
+  BigInt y;
+  EXPECT_TRUE(egcd(a, m, x, y).is_one());
+  return x.mod(m);
+}
+
 TEST(ModContext, ResidueInverseMatchesBigIntInverse) {
   XoshiroRng rng(40408);
   for (int i = 0; i < 300; ++i) {
-    // Odd moduli run the limb binary Euclid, even ones the BigInt fallback;
+    // Odd moduli run the binary-GCD kernel, even ones the BigInt fallback;
     // composite moduli make some operands non-invertible.
     const std::size_t bits = 8 + static_cast<std::size_t>(rng.next_u64() % 600);
     BigInt m = random_bits(rng, bits);
@@ -353,7 +367,8 @@ TEST(ModContext, ResidueInverseMatchesBigIntInverse) {
       continue;
     }
     ctx.inv(ctx.to_residue(a), r);
-    EXPECT_EQ(ctx.from_residue(r), ctx.inv(a)) << "a=" << a.to_hex() << " m=" << m.to_hex();
+    EXPECT_EQ(ctx.from_residue(r), mod_inverse(a, m)) << "a=" << a.to_hex() << " m=" << m.to_hex();
+    EXPECT_EQ(ctx.from_residue(r), egcd_inverse(a, m)) << "a=" << a.to_hex() << " m=" << m.to_hex();
     ctx.inv(r, r);  // aliasing-safe, and an involution
     EXPECT_EQ(ctx.from_residue(r), a) << "a=" << a.to_hex() << " m=" << m.to_hex();
   }
@@ -364,6 +379,30 @@ TEST(ModContext, ResidueInverseMatchesBigIntInverse) {
   ctx.inv(ctx.to_residue(BigInt{100}), r);
   EXPECT_EQ(ctx.from_residue(r), BigInt{100});  // (p-1)^-1 = p-1
   EXPECT_THROW(ctx.inv(ctx.to_residue(BigInt{}), r), std::domain_error);
+}
+
+TEST(ModContext, ResidueInverseIsHeapFreeAndRejectsNonUnits) {
+  XoshiroRng rng(40409);
+  // secp160r1-sized up to one limb past the Residue inline width.
+  for (const std::size_t bits : {160U, 192U, 521U, 1024U, 2048U, 2112U}) {
+    const BigInt p = random_bits(rng, bits / 2);
+    BigInt q = random_bits(rng, bits - bits / 2);
+    if (q.is_even()) q += BigInt{1};
+    const BigInt m = p.is_odd() ? p * q : (p + BigInt{1}) * q;
+    const ModContext ctx(m);
+    const Residue a = ctx.to_residue(random_unit(rng, m));
+    const Residue multiple = ctx.to_residue(q * random_bits(rng, 40));
+    Residue r(ctx);
+    EXPECT_THROW(ctx.inv(multiple, r), std::domain_error) << "bits=" << bits;
+    EXPECT_THROW(ctx.inv(Residue(ctx), r), std::domain_error) << "bits=" << bits;
+    ctx.inv(a, r);  // warm-up: the thread arena's pool is allocated on first use
+    const OpCounts before_ops = op_counts();
+    const std::uint64_t before = bench::heap_alloc_count();
+    for (int i = 0; i < 8; ++i) ctx.inv(a, r);
+    EXPECT_EQ(bench::heap_alloc_count() - before, 0U) << "bits=" << bits;
+    EXPECT_EQ(op_counts().mod_muls - before_ops.mod_muls, 16U) << "two R^2 products per call";
+    EXPECT_EQ(ctx.from_residue(r), egcd_inverse(ctx.from_residue(a), m)) << "bits=" << bits;
+  }
 }
 
 TEST(ModContext, ResidueOpsAreAliasingSafe) {

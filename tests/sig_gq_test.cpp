@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "hash/hmac_drbg.h"
+#include "hash/sha256.h"
 
 namespace idgka::sig {
 namespace {
@@ -34,6 +35,28 @@ TEST_F(GqFixture, HashIdIsUnitAndDeterministic) {
   EXPECT_NE(h1, gq_hash_id(pkg_->params(), 43));
   EXPECT_TRUE(mpint::gcd(h1, pkg_->params().n).is_one());
   EXPECT_LT(h1, pkg_->params().n);
+}
+
+TEST(GqHashId, KnownAnswerThroughNonUnitCandidates) {
+  // n carries the factors 3, 5, 7 and 11, so the unit check rejects more
+  // than half of the first candidates and the counter loop runs. Pinned
+  // values: a change to gcd or to the hash expansion must not move them.
+  const BigInt cofactor = (BigInt{1} << 1013) + (BigInt{1} << 517) + BigInt{1};
+  const GqParams params{BigInt{1155} * cofactor, BigInt{65537}};
+  EXPECT_EQ(gq_hash_id(params, 42).to_hex(),
+            "760da218b4452fb160a57023eb58c5108e231c46be3ce7e8849815b003f324abeb731958cd5cc3"
+            "8b768dd4e2c870eb78ea6e8e5476276b84e813065a715030fc1d08d8d551691a86e1df0a9ef156"
+            "ea9087d386d501c15ad5b4a8eaad423bb00c3f528a56d70192bd8be1b42dbef447b57d018ce87c"
+            "820b259d024ebdcbb2171a");
+  hash::Sha256 all;
+  for (std::uint32_t id = 0; id < 64; ++id) {
+    const BigInt h = gq_hash_id(params, id);
+    EXPECT_TRUE(mpint::gcd(h, params.n).is_one()) << "id=" << id;
+    all.update(h.to_bytes_be(128));
+  }
+  const auto digest = all.finalize();
+  EXPECT_EQ(BigInt::from_bytes_be(digest).to_hex(),
+            "4de9ce8e56060a02ebe2b47409efb91eb19d05d72db9b2b186b96d562b7b32dd");
 }
 
 TEST_F(GqFixture, SharedContextMustMatchModulus) {
