@@ -76,7 +76,7 @@ double run_sequential(const sim::MultiGroupConfig& cfg, bool& converged) {
   converged = true;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t g = 0; g < cfg.groups; ++g) {
-    gka::Authority authority(cfg.profile, cfg.authority_seed(g));
+    gka::Authority authority(cfg.profile, cfg.authority_seed(g), cfg.cluster.scheme);
     sim::Scheduler scheduler;
     sim::ProtocolDriver driver(scheduler, cfg.driver, cfg.driver_seed(g));
     std::vector<std::uint32_t> ids(cfg.members_per_group);

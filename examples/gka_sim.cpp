@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   std::printf("scheme=%s profile=%s loss=%.2f radio=%s\n", gka::scheme_name(scheme),
               profile == gka::SecurityProfile::kPaper ? "paper(1024)" : "test(256)", loss,
               radio->name.c_str());
-  gka::Authority authority(profile, seed);
+  gka::Authority authority(profile, seed, scheme);
   std::unique_ptr<gka::GroupSession> session;
 
   for (const std::string& event : events) {

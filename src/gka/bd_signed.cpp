@@ -63,6 +63,14 @@ RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<Membe
   const gka::GroupCtx grp = params.group();
   const std::size_t n = members.size();
   if (n < 2) throw std::invalid_argument("run_bd_signed: need at least 2 members");
+  const Scheme scheme = auth == BdAuth::kSok     ? Scheme::kBdSok
+                        : auth == BdAuth::kEcdsa ? Scheme::kBdEcdsa
+                                                 : Scheme::kBdDsa;
+  for (const MemberCtx& m : members) {
+    if (!m.cred.holds(scheme)) {
+      throw std::invalid_argument("run_bd_signed: member not enrolled for this mode");
+    }
+  }
 
   std::vector<std::uint32_t> ring;
   ring.reserve(n);

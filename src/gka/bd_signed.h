@@ -24,6 +24,8 @@ enum class BdAuth { kSok, kEcdsa, kDsa };
 
 /// Executes authenticated BD among `members`. Requires the Authority the
 /// members were enrolled with (verification needs the CA / SOK public key).
+/// Throws std::invalid_argument if a member holds no credential for `auth`
+/// (no certificate for kDsa/kEcdsa, no SOK secret for kSok).
 [[nodiscard]] RunResult run_bd_signed(const Authority& authority, BdAuth auth,
                                       std::span<MemberCtx> members, net::Network& network);
 

@@ -20,15 +20,14 @@
 
 namespace idgka::gka {
 
-/// Protocol variant (the five columns of Table 1).
-enum class Scheme { kProposed, kBdSok, kBdEcdsa, kBdDsa, kSsn };
-
 [[nodiscard]] const char* scheme_name(Scheme scheme);
 
 class GroupSession {
  public:
   /// Creates a session over `ids` (becomes the ring order). Members are
-  /// enrolled with `authority`. Deterministic under `seed`.
+  /// enrolled with `authority` for `scheme` only (Authority::enroll(id,
+  /// scheme)). Deterministic under `seed`. Throws std::invalid_argument
+  /// when `authority` does not provision `scheme`.
   GroupSession(Authority& authority, Scheme scheme, std::vector<std::uint32_t> ids,
                std::uint64_t seed, double loss_rate = 0.0);
 

@@ -123,7 +123,7 @@ struct Run {
   explicit Run(const ScenarioConfig& config)
       : cfg(config),
         ops_start(mpint::op_counts()),
-        authority(config.profile, config.seed),
+        authority(config.profile, config.seed, config.cluster.scheme),
         driver(scheduler, config.driver, config.seed ^ 0x73696d647276ULL),
         bank(config.power),
         rng(config.seed ^ 0x776179706f696e74ULL) {}
@@ -369,7 +369,7 @@ struct Group {
   Group(const MultiGroupConfig& config, std::size_t g, engine::Executor& executor)
       : cfg(config),
         index(g),
-        authority(config.profile, config.authority_seed(g)),
+        authority(config.profile, config.authority_seed(g), config.cluster.scheme),
         driver(executor, config.driver, config.driver_seed(g)) {
     std::vector<std::uint32_t> ids(cfg.members_per_group);
     for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = map_id(static_cast<std::uint32_t>(i));
@@ -464,8 +464,12 @@ MultiGroupMetrics MultiGroupRunner::run() {
   const obs::Span obs_span("sim.multigroup", "sim");
 #endif
 
-  // Group construction (authorities, sessions) is serial and cheap next to
-  // the runs; bodies then only touch their own group + the executor.
+  // Group construction (authorities, sessions) is serial: each group's
+  // authority runs its own prime searches and enrolls its members before
+  // any run starts. Provisioning only what the scheme uses keeps it small
+  // (it was over a third of an engine-multigroup pass when every
+  // authority built the pairing group and CAs and every member got every
+  // credential). Bodies then only touch their own group + the executor.
   std::vector<std::unique_ptr<Group>> groups;
   groups.reserve(cfg_.groups);
   for (std::size_t g = 0; g < cfg_.groups; ++g) {
