@@ -27,7 +27,10 @@
 // Because every barrier resumes the same global batch and executes the
 // same global event set regardless of how runs are spread over shards, all
 // engine metrics (resumes, max batch, per-run event order) are bit
-// identical for every IDGKA_THREADS value.
+// identical for every IDGKA_THREADS value. Within a batch, resume order is
+// defined only within a shard: runs on different shards execute
+// concurrently, so effects on state shared between runs have no defined
+// order — which is why run bodies must touch only their own group's state.
 //
 // Parallel batch safety: a run body only touches its own group's state
 // (sessions, networks, link models) plus this executor. Events a run posts

@@ -222,9 +222,13 @@ TEST(Executor, TimerOnlyAwaitBurnsFullTimeout) {
 }
 
 TEST(Executor, ExplicitShardCountPreservesScheduleAndCounters) {
-  // The same workload on 1, 2 and 4 scheduler shards must produce the
-  // identical wake sequence and merged counters — the sharded-executor
-  // determinism contract (virtual-time barriers, not racy handoff).
+  // The same workload on 1, 2 and 4 scheduler shards must produce the same
+  // per-run wakes — every (run, virtual time) pair — and the same merged
+  // counters (resumes, max batch): the sharded-executor determinism
+  // contract of virtual-time barriers. It does not check the order in which
+  // runs on different shards execute within one same-instant batch: those
+  // resume concurrently by design (at t=600, run 4's and run 5's records may
+  // land in either order), so wakes are compared sorted by (time, run).
   const auto run_once = [](std::size_t shards) {
     sim::Scheduler scheduler;
     Executor executor(scheduler, shards);
@@ -244,8 +248,9 @@ TEST(Executor, ExplicitShardCountPreservesScheduleAndCounters) {
       });
     }
     executor.drain();
-    std::sort(wakes.begin(), wakes.end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
+    std::sort(wakes.begin(), wakes.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+    });
     return std::make_tuple(wakes, executor.resumes(), executor.max_batch());
   };
 
@@ -254,8 +259,15 @@ TEST(Executor, ExplicitShardCountPreservesScheduleAndCounters) {
   const auto four = run_once(4);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
+  // Run i wakes at 100(i+1), then at max(1000 - 100i, 100(i+1)).
+  const std::vector<std::pair<int, sim::SimTime>> expected_wakes = {
+      {0, 100}, {1, 200}, {2, 300}, {3, 400}, {4, 500}, {4, 600},
+      {5, 600}, {5, 600}, {3, 700}, {2, 800}, {1, 900}, {0, 1000}};
+  EXPECT_EQ(std::get<0>(one), expected_wakes);
   // 6 starts + 11 timer wakes (run 5's second sleep targets the past: no-op).
   EXPECT_EQ(std::get<1>(one), 17U);
+  // All six runs start in one batch at t=0.
+  EXPECT_EQ(std::get<2>(one), 6U);
 }
 
 TEST(Executor, CrossShardPostLandsAtBarrier) {
