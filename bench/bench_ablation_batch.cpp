@@ -19,6 +19,7 @@ namespace {
 
 struct BatchFixture {
   sig::GqParams params;
+  const mpint::ModContext* ctx = nullptr;  ///< mod-n context, shared by every fixture
   std::vector<std::uint32_t> ids;
   std::vector<sig::BigInt> s_values;
   std::vector<sig::GqSignature> individual;
@@ -33,9 +34,11 @@ BatchFixture make_fixture(std::size_t n) {
     hash::HmacDrbg prng(7, "ablation-params");
     return sig::GqPkg(prng, 1024, 24);
   }();
+  static const mpint::ModContext ctx(pkg.params().n);
 
   BatchFixture f;
   f.params = pkg.params();
+  f.ctx = &ctx;
   f.z = {0x01, 0x02, 0x03};
   std::vector<sig::GqSigner> signers;
   std::vector<sig::GqSigner::Commitment> commits;
@@ -61,7 +64,7 @@ void BM_BatchVerify(benchmark::State& state) {
   const auto f = make_fixture(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sig::gq_batch_verify(f.params, f.ids, f.s_values, f.c, f.z));
+        sig::gq_batch_verify(f.params, *f.ctx, f.ids, f.s_values, f.c, f.z));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -72,7 +75,7 @@ void BM_IndividualVerify(benchmark::State& state) {
   for (auto _ : state) {
     bool all = true;
     for (std::size_t i = 0; i < f.ids.size(); ++i) {
-      all &= sig::gq_verify(f.params, f.ids[i], f.messages[i], f.individual[i]);
+      all &= sig::gq_verify(f.params, *f.ctx, f.ids[i], f.messages[i], f.individual[i]);
     }
     benchmark::DoNotOptimize(all);
   }

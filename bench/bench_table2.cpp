@@ -31,13 +31,15 @@ struct Fixtures {
   mpint::ModContext mont{grp.p};
   mpint::GqModulus gq_mod = mpint::generate_gq_modulus(rng, 1024, mpint::BigInt{65537}, 24);
   sig::GqPkg gq_pkg{mpint::GqModulus(gq_mod)};
+  mpint::ModContext gq_ctx{gq_mod.n};
   mpint::SupersingularParams ss =
       mpint::generate_supersingular_params(rng, 512, 160, 24);
   pairing::SsGroup ss_group{ss};
   pairing::TatePairing tate{ss_group};
   sig::SokPkg sok_pkg{ss_group, rng};
   sig::DsaParams dsa = sig::dsa_generate_params(rng, 1024, 160, 24);
-  sig::DsaKeyPair dsa_key = sig::dsa_generate_keypair(dsa, rng);
+  mpint::ModContext dsa_ctx{dsa.p};
+  sig::DsaKeyPair dsa_key = sig::dsa_generate_keypair(dsa, dsa_ctx, rng);
   sig::EcdsaKeyPair ec_key = sig::ecdsa_generate_keypair(ec::secp160r1(), rng);
 };
 
@@ -74,15 +76,17 @@ BENCHMARK(BM_ScalarMul160);
 
 void BM_SignGenDsa(benchmark::State& state) {
   auto& f = fx();
-  for (auto _ : state) benchmark::DoNotOptimize(sig::dsa_sign(f.dsa, f.dsa_key, kMsg, f.rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sig::dsa_sign(f.dsa, f.dsa_ctx, f.dsa_key, kMsg, f.rng));
+  }
 }
 BENCHMARK(BM_SignGenDsa);
 
 void BM_SignVerDsa(benchmark::State& state) {
   auto& f = fx();
-  const auto sig = sig::dsa_sign(f.dsa, f.dsa_key, kMsg, f.rng);
+  const auto sig = sig::dsa_sign(f.dsa, f.dsa_ctx, f.dsa_key, kMsg, f.rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sig::dsa_verify(f.dsa, f.dsa_key.y, kMsg, sig));
+    benchmark::DoNotOptimize(sig::dsa_verify(f.dsa, f.dsa_ctx, f.dsa_key.y, kMsg, sig));
   }
 }
 BENCHMARK(BM_SignVerDsa);
@@ -135,7 +139,7 @@ void BM_SignVerGq(benchmark::State& state) {
   const sig::GqSigner signer(f.gq_pkg.params(), 42, f.gq_pkg.extract(42));
   const auto sig = signer.sign(kMsg, f.rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sig::gq_verify(f.gq_pkg.params(), 42, kMsg, sig));
+    benchmark::DoNotOptimize(sig::gq_verify(f.gq_pkg.params(), f.gq_ctx, 42, kMsg, sig));
   }
 }
 BENCHMARK(BM_SignVerGq);

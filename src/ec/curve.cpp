@@ -576,6 +576,7 @@ Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
   }
   const BigInt p = mpint::generate_prime(rng, bits, 24);
   const std::uint64_t pu = p.low_u64();
+  const mpint::ModContext field(p);
   while (true) {
     const std::uint64_t a = mpint::random_below(rng, p).low_u64();
     const std::uint64_t b = mpint::random_below(rng, p).low_u64();
@@ -607,7 +608,7 @@ Curve generate_toy_curve(mpint::Rng& rng, std::size_t bits) {
           BigInt root;
           // p was chosen freely; only use sqrt when p % 4 == 3, otherwise
           // search y directly (p is tiny).
-          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(BigInt{rhs}, p, root)) {
+          if ((pu & 3U) == 3U && mpint::sqrt_mod_p3(field, BigInt{rhs}, root)) {
             first_x = x;
             first_y = root.low_u64();
             have_point = true;

@@ -1,12 +1,10 @@
 #include "gka/bd_signed.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "energy/profiles.h"
 #include "gka/bd_math.h"
-#include "net/parallel.h"
 
 namespace idgka::gka {
 
@@ -213,10 +211,10 @@ RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<Membe
   ++result.rounds;
 
   // ------------------------------------------- Verification + Key
-  // n-1 signature verifications per member: the quadratic phase, run
-  // fork-join parallel across the share-nothing simulated nodes.
-  std::atomic<bool> all_ok{true};
-  net::parallel_for_each(n, [&](std::size_t idx) {
+  // n-1 signature verifications per member: the quadratic phase. A member
+  // stops at its first bad signature; the others still do their own work.
+  bool all_ok = true;
+  for (std::size_t idx = 0; idx < n; ++idx) {
     MemberCtx& m = members[idx];
     const std::size_t own = m.ring_index();
     std::vector<BigInt> x_ring(n);
@@ -227,6 +225,7 @@ RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<Membe
     std::vector<std::vector<std::uint8_t>> dsa_statements;
     std::vector<sig::DsaCommittedSignature> dsa_sigs;
 
+    bool member_ok = true;
     for (const auto& [sender, msg] : r2.collected.at(m.cred.id)) {
       const std::size_t j = m.ring_index_of(sender);
       const BigInt x_j = msg.payload.get_int("x");
@@ -280,18 +279,20 @@ RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<Membe
         }
       }
       if (!ok) {
-        all_ok.store(false, std::memory_order_relaxed);
-        return;
+        member_ok = false;
+        break;
       }
     }
     // One screening batch replaces the n-1 independent DSA checks (the
     // kSignVerDsa ledger records above keep the paper's per-peer
     // accounting).
-    if (auth == BdAuth::kDsa &&
-        !sig::dsa_batch_verify(authority.dsa_params(), authority.dsa_ctx(), dsa_ys,
-                               dsa_statements, dsa_sigs)) {
-      all_ok.store(false, std::memory_order_relaxed);
-      return;
+    if (member_ok && auth == BdAuth::kDsa) {
+      member_ok = sig::dsa_batch_verify(authority.dsa_params(), authority.dsa_ctx(), dsa_ys,
+                                        dsa_statements, dsa_sigs);
+    }
+    if (!member_ok) {
+      all_ok = false;
+      continue;
     }
 
     // Key reconstruction.
@@ -299,8 +300,8 @@ RunResult run_bd_signed(const Authority& authority, BdAuth auth, std::span<Membe
     std::vector<BigInt> z_ring(n);
     for (std::size_t j = 0; j < n; ++j) z_ring[j] = m.z_map.at(ring[j]);
     m.key = bd::compute_key(grp, z_ring, x_ring, own, m.r);
-  });
-  if (!all_ok.load()) return result;
+  }
+  if (!all_ok) return result;
   for (const MemberCtx& m : members) {
     if (m.key != members[0].key) {
       throw std::logic_error("run_bd_signed: members disagree on the key");

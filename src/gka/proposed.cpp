@@ -1,13 +1,11 @@
 #include "gka/proposed.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "energy/profiles.h"
 #include "gka/bd_math.h"
 #include "hash/hmac.h"
-#include "net/parallel.h"
 
 namespace idgka::gka {
 
@@ -140,10 +138,11 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
   ++result.rounds;
 
   // ------------------------------------------- Authentication + Key
-  // Per-member verification is share-nothing (own state + received
-  // messages) and runs fork-join parallel across the simulated nodes.
-  std::atomic<bool> all_ok{true};
-  net::parallel_for_each(n, [&](std::size_t idx) {
+  // Every member verifies and derives the key from its own state and the
+  // messages it received. A member that rejects stops there; the others
+  // still do (and record) their own work.
+  bool all_ok = true;
+  for (std::size_t idx = 0; idx < n; ++idx) {
     MemberCtx& m = members[idx];
     // Collect X_j and s_j in ring order (own values from locals).
     std::vector<BigInt> x_ring(n);
@@ -162,13 +161,13 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     m.ledger.record(Op::kSignVerGq);
     if (!sig::gq_batch_verify(params.gq, *params.ctx_n, ids, s_ring, locals[idx].c,
                               locals[idx].z_prod.to_bytes_be())) {
-      all_ok.store(false, std::memory_order_relaxed);
-      return;  // protocol-level failure (driver may retry from scratch)
+      all_ok = false;  // protocol-level failure (driver may retry from scratch)
+      continue;
     }
     // Lemma 1.
     if (!bd::lemma1_holds(grp, x_ring)) {
-      all_ok.store(false, std::memory_order_relaxed);
-      return;
+      all_ok = false;
+      continue;
     }
 
     // Equation (3): key reconstruction (the third exponentiation).
@@ -176,8 +175,8 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     std::vector<BigInt> z_ring(n);
     for (std::size_t j = 0; j < n; ++j) z_ring[j] = m.z_map.at(ring[j]);
     m.key = bd::compute_key(grp, z_ring, x_ring, own, m.r);
-  });
-  if (!all_ok.load()) return result;
+  }
+  if (!all_ok) return result;
   for (const MemberCtx& m : members) {
     if (m.key != members[0].key) {
       throw std::logic_error("run_proposed: members disagree on the key");
@@ -203,20 +202,20 @@ RunResult run_proposed(const SystemParams& params, std::span<MemberCtx> members,
     if (!r3.complete) return result;
     ++result.rounds;
 
-    std::atomic<bool> confirmed{true};
-    net::parallel_for_each(n, [&](std::size_t idx) {
-      MemberCtx& m = members[idx];
+    // A member stops checking at its first bad tag; the others still check.
+    bool confirmed = true;
+    for (MemberCtx& m : members) {
       for (const auto& [sender, msg] : r3.collected.at(m.cred.id)) {
         m.ledger.record(Op::kHashBlock, 2);
         const auto want = key_confirmation_tag(m.key, sender);
         const auto& got = msg.payload.get_blob("tag");
         if (got.size() != want.size() || !std::equal(want.begin(), want.end(), got.begin())) {
-          confirmed.store(false, std::memory_order_relaxed);
-          return;
+          confirmed = false;
+          break;
         }
       }
-    });
-    if (!confirmed.load()) return result;
+    }
+    if (!confirmed) return result;
   }
 
   result.success = true;

@@ -1,11 +1,9 @@
 #include "gka/ssn.h"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "energy/profiles.h"
 #include "gka/bd_math.h"
-#include "net/parallel.h"
 #include "hash/sha256.h"
 
 namespace idgka::gka {
@@ -118,13 +116,16 @@ RunResult run_ssn(const SystemParams& params, std::span<MemberCtx> members,
   ++result.rounds;
 
   // ------------------------------------------- Verification + Key
-  std::atomic<bool> all_ok{true};
-  net::parallel_for_each(n, [&](std::size_t idx) {
+  // A member stops at its first bad authenticator; the others still do
+  // their own work.
+  bool all_ok = true;
+  for (std::size_t idx = 0; idx < n; ++idx) {
     MemberCtx& m = members[idx];
     const std::size_t own = m.ring_index();
     std::vector<BigInt> x_ring(n);
     x_ring[own] = locals[idx].x;
 
+    bool member_ok = true;
     for (const auto& [sender, msg] : r2.collected.at(m.cred.id)) {
       const std::size_t j = m.ring_index_of(sender);
       const BigInt x_j = msg.payload.get_int("x");
@@ -139,17 +140,21 @@ RunResult run_ssn(const SystemParams& params, std::span<MemberCtx> members,
       const BigInt rhs = params.ctx_n->mul(sig::gq_hash_id(params.gq, sender),
                                            params.ctx_n->exp(w_j, c_j * params.gq.e));
       if (lhs != rhs) {
-        all_ok.store(false, std::memory_order_relaxed);
-        return;
+        member_ok = false;
+        break;
       }
+    }
+    if (!member_ok) {
+      all_ok = false;
+      continue;
     }
 
     m.ledger.record(Op::kModExp);  // key reconstruction
     std::vector<BigInt> z_ring(n);
     for (std::size_t j = 0; j < n; ++j) z_ring[j] = m.z_map.at(ring[j]);
     m.key = bd::compute_key(grp, z_ring, x_ring, own, m.r);
-  });
-  if (!all_ok.load()) return result;
+  }
+  if (!all_ok) return result;
   for (const MemberCtx& m : members) {
     if (m.key != members[0].key) {
       throw std::logic_error("run_ssn: members disagree on the key");

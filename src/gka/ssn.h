@@ -20,8 +20,8 @@
 // Soundness sketch: a_j = S_j * w_j^{c_j} with S_j^e = H(U_j) mod n, so the
 // check holds iff the sender knows the PKG-extracted S_j; c_j binds the
 // authenticator to (z_j, X_j, Z). Per-member exponentiations: 5 + 2(n-1) =
-// 2n + 3, one below the paper's 2n + 4 accounting — recorded as-measured
-// and compared against the paper's formula in EXPERIMENTS.md.
+// 2n + 3, one below the paper's 2n + 4 accounting — recorded as-measured;
+// README.md, "Known deltas vs the paper", lists it.
 #pragma once
 
 #include <span>

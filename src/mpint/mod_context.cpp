@@ -1077,13 +1077,4 @@ bool sqrt_mod_p3(const ModContext& ctx, const BigInt& a, BigInt& out) {
   return true;
 }
 
-BigInt mod_exp(const BigInt& base, const BigInt& exp, const BigInt& m) {
-  if (m.is_zero()) throw std::domain_error("mod_exp: zero modulus");
-  if (m.negative()) throw std::domain_error("mod_exp: negative modulus");
-  if (m.is_one()) return BigInt{};
-  // Compatibility shim: every call pays a full context derivation. Hot paths
-  // construct a ModContext once and reuse it.
-  return ModContext(m).exp(base, exp);
-}
-
 }  // namespace idgka::mpint

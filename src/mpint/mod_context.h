@@ -22,13 +22,15 @@
 //     exponentiates the same g — trading O(2^teeth) precomputed entries for
 //     ~teeth-fold fewer multiplications per call;
 //   * an even-modulus fallback (generic windowed exponentiation over
-//     schoolbook mod-mul) so the layer covers the full mod_exp contract.
+//     schoolbook mod-mul), so any modulus > 1 has a context.
 //
-// Long-lived callers (gka::SystemParams, sig::GqPkg, ec::Curve,
-// pairing::Fp2Ctx, pki::CertificateAuthority) construct contexts once and
-// thread `const ModContext&` down; mpint::mod_exp remains as a compatibility
-// shim that builds a transient context per call. The context is the single
-// seam for any future backend swap (GMP, SIMD limb kernels).
+// It is the library's one modular-exponentiation API. Long-lived callers
+// (gka::SystemParams, sig::GqPkg, ec::Curve, pairing::Fp2Ctx,
+// pki::CertificateAuthority) construct contexts once and thread
+// `const ModContext&` down; a one-off exponentiation is
+// `ModContext(m).exp(base, e)`, which pays the O(size^2) context derivation
+// in the open. The context is the single seam for any future backend swap
+// (GMP, SIMD limb kernels).
 //
 // The layer also keeps process-wide operation counters (exponentiations,
 // low-level modular multiplications and — separately — modular squarings,
@@ -259,9 +261,9 @@ class ModContext {
   std::vector<Limb> one_mont_;   // R mod n (k_ limbs)
 };
 
-/// Square root modulo a prime p with p % 4 == 3, through a caller-cached
-/// context for p (the bigint.h overload derives a transient context per
-/// call). On success sets `out` and returns true.
+/// Square root modulo a prime p with p % 4 == 3 (MapToPoint on the
+/// supersingular curve, toy-curve generation), through the caller's context
+/// for p. On success sets `out` and returns true.
 bool sqrt_mod_p3(const ModContext& ctx, const BigInt& a, BigInt& out);
 
 }  // namespace idgka::mpint

@@ -62,24 +62,6 @@ void Network::enqueue(std::vector<wire::Frame>& inbox, const wire::Frame& frame,
     if (!frame_tamper_(bytes, to)) return;  // jammed
     out = wire::Frame(std::move(bytes), frame.accounted_bits(), frame.sender());
   }
-  if (tamper_) {
-    Message msg;
-    try {
-      msg = wire::decode(out);
-    } catch (const wire::DecodeError&) {
-      // A byte-level adversary corrupted the copy before the typed hook
-      // could see it; the receiver will discard it either way.
-      ++corrupted_;
-      ++st.corrupted_frames;
-      OBS_COUNT("net.corrupted_frames", 1);
-      return;
-    }
-    const Message original = msg;
-    if (!tamper_(msg, to)) return;  // suppressed by the adversary
-    if (!(msg == original)) {
-      out = wire::encode(msg).with_metadata(frame.accounted_bits(), frame.sender());
-    }
-  }
   inbox.push_back(std::move(out));
 }
 
@@ -116,7 +98,6 @@ wire::Frame Network::encode_and_charge(const Message& msg) {
   wire::assert_roundtrip(msg, frame);
 #endif
   if (frame_sniffer_) frame_sniffer_(frame);
-  if (sniffer_) sniffer_(msg);
   auto& st = stats_[msg.sender];
   ++st.tx_messages;
   st.tx_bits += frame.accounted_bits();
@@ -166,6 +147,7 @@ std::vector<Message> Network::drain(std::uint32_t node) {
       // enqueue) but is discarded here, and retransmission covers the gap.
       ++corrupted_;
       ++stats_[node].corrupted_frames;
+      OBS_COUNT("net.corrupted_frames", 1);
     }
   }
   return out;

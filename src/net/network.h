@@ -87,7 +87,8 @@ class Network {
 
   /// Removes and decodes all pending frames for `node`, in arrival order.
   /// Frames that fail the strict decode are dropped from the result and
-  /// counted in `corrupted_frames` / corrupted().
+  /// counted in `corrupted_frames` / corrupted() and the
+  /// `net.corrupted_frames` obs counter.
   [[nodiscard]] std::vector<Message> drain(std::uint32_t node);
   /// Byte-level variant: removes and returns the raw frames undecoded.
   [[nodiscard]] std::vector<wire::Frame> drain_frames(std::uint32_t node);
@@ -104,7 +105,7 @@ class Network {
 
   void reset_stats();
 
-  // --- Adversarial/debug hooks (byte level; typed adapters on top) ---
+  // --- Adversarial/debug hooks (byte level) ---
 
   /// Byte-level adversary applied to every delivered copy: may rewrite the
   /// frame bytes in place (bit flips, truncation, extension) or return
@@ -114,22 +115,10 @@ class Network {
       std::function<bool(std::vector<std::uint8_t>& bytes, std::uint32_t receiver)>;
   void set_frame_tamper_hook(FrameTamperHook hook) { frame_tamper_ = std::move(hook); }
 
-  /// Typed adapter over the byte path: the delivered frame is decoded, the
-  /// hook may modify the message or return false to suppress, and a
-  /// modified message is re-encoded into a fresh frame. Charged rx is based
-  /// on the original frame.
-  using TamperHook = std::function<bool(Message&, std::uint32_t receiver)>;
-  void set_tamper_hook(TamperHook hook) { tamper_ = std::move(hook); }
-
   /// Passive byte-level observer of every transmitted frame (eavesdropper
   /// on the air interface).
   using FrameSniffer = std::function<void(const wire::Frame&)>;
   void set_frame_sniffer(FrameSniffer sniffer) { frame_sniffer_ = std::move(sniffer); }
-
-  /// Typed adapter: observes the decoded view of every transmitted frame
-  /// (debug builds assert the frame decodes back to exactly this message).
-  using Sniffer = std::function<void(const Message&)>;
-  void set_sniffer(Sniffer sniffer) { sniffer_ = std::move(sniffer); }
 
   // --- Timed-delivery hooks (src/sim) ---
 
@@ -194,9 +183,7 @@ class Network {
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;
   FrameTamperHook frame_tamper_;
-  TamperHook tamper_;
   FrameSniffer frame_sniffer_;
-  Sniffer sniffer_;
   Transport transport_;
   DropObserver drop_observer_;
   RoundBarrier round_barrier_;

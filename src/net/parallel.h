@@ -1,53 +1,22 @@
-// Minimal fork-join parallelism for per-node protocol work.
+// Worker count for the simulator's one parallelism mechanism.
 //
-// Protocol rounds are barriers: between them every member computes only on
-// its own state plus its received (immutable) messages — the MPI-style
-// share-nothing decomposition. parallel_for_each statically partitions the
-// index range into one contiguous chunk per worker (no shared cursor, no
-// per-index type-erased call — the body is invoked directly inside the
-// chunk loop) and rethrows the first worker exception.
+// engine::Executor is the only place that runs work in parallel: it spreads
+// protocol runs over shard threads. Protocol code itself is serial: a
+// round's per-member work runs on the calling thread (a ProtocolRun's
+// thread under the engine), in member order.
 //
-// Determinism: the protocols draw randomness from per-member DRBGs, so the
-// schedule cannot change any result; tests pass with any thread count
-// (including IDGKA_THREADS=1).
+// IDGKA_THREADS sets only the executor's default shard count. Results do not
+// depend on it: the protocols draw randomness from per-member DRBGs, and the
+// determinism contract holds for every value (including IDGKA_THREADS=1).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <exception>
-#include <functional>
 
 namespace idgka::net {
 
-/// Number of worker threads used by parallel_for_each (reads the
-/// IDGKA_THREADS environment variable once; defaults to the hardware
-/// concurrency, capped at 16).
+/// Default shard count for engine::Executor (reads the IDGKA_THREADS
+/// environment variable once; defaults to the hardware concurrency, capped
+/// at 16).
 std::size_t worker_count();
-
-/// Invokes task(w) for w in [0, workers) with each w on its own thread
-/// (w = 0 runs on the calling thread). Blocks until all return; rethrows
-/// the first task exception. The building block under parallel_for_each —
-/// exposed for callers that bring their own partitioning.
-void parallel_run(std::size_t workers, const std::function<void(std::size_t)>& task);
-
-/// Invokes fn(i) for i in [0, count). With more than one worker the range
-/// is split into contiguous chunks — worker w owns indices
-/// [w*count/workers, (w+1)*count/workers) — so per-task cost is one direct
-/// call, not an atomic claim plus a std::function dispatch. Exceptions
-/// from workers are rethrown in the caller (first one wins; a throwing
-/// worker abandons the rest of its own chunk only).
-template <typename Fn>
-void parallel_for_each(std::size_t count, Fn&& fn) {
-  const std::size_t workers = std::min(worker_count(), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  parallel_run(workers, [count, workers, &fn](std::size_t w) {
-    const std::size_t begin = w * count / workers;
-    const std::size_t end = (w + 1) * count / workers;
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
 
 }  // namespace idgka::net

@@ -248,11 +248,6 @@ void set_thread_track(std::string track) {
   }
 }
 
-std::string thread_track() {
-  const std::string& track = t_state.track;
-  return track.empty() ? std::string("thread") : track;
-}
-
 void set_ring_capacity(std::size_t capacity) {
   std::size_t cap = 2;
   while (cap < capacity && cap < (1ULL << 30)) cap <<= 1;

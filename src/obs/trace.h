@@ -106,10 +106,6 @@ void emit(Phase phase, const char* name, const char* cat, std::uint64_t arg);
 /// deterministic (thread registration order is not).
 void set_thread_track(std::string track);
 
-/// The calling thread's track name ("thread" until set_thread_track names
-/// it). Fork-join helpers derive their workers' tracks from it.
-[[nodiscard]] std::string thread_track();
-
 /// Ring capacity (events per thread) for rings created after the call.
 /// Must be a power of two >= 2; default 16384.
 void set_ring_capacity(std::size_t capacity);

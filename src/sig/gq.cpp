@@ -106,11 +106,6 @@ bool gq_verify(const GqParams& params, const mpint::ModContext& ctx, std::uint32
   return gq_challenge(t_prime.to_bytes_be(), message) == sig.c;
 }
 
-bool gq_verify(const GqParams& params, std::uint32_t id,
-               std::span<const std::uint8_t> message, const GqSignature& sig) {
-  return gq_verify(params, mpint::ModContext(params.n), id, message, sig);
-}
-
 bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
                      std::span<const std::uint32_t> ids, std::span<const BigInt> s_values,
                      const BigInt& c, std::span<const std::uint8_t> z_bytes) {
@@ -137,12 +132,6 @@ bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
     return false;
   }
   return gq_challenge(t_prime.to_bytes_be(), z_bytes) == c;
-}
-
-bool gq_batch_verify(const GqParams& params, std::span<const std::uint32_t> ids,
-                     std::span<const BigInt> s_values, const BigInt& c,
-                     std::span<const std::uint8_t> z_bytes) {
-  return gq_batch_verify(params, mpint::ModContext(params.n), ids, s_values, c, z_bytes);
 }
 
 std::size_t gq_signature_bits(const GqParams& params) {

@@ -107,19 +107,12 @@ class GqSigner {
 [[nodiscard]] bool gq_verify(const GqParams& params, const mpint::ModContext& ctx,
                              std::uint32_t id, std::span<const std::uint8_t> message,
                              const GqSignature& sig);
-/// Compatibility shim: derives a transient mod-n context per call.
-[[nodiscard]] bool gq_verify(const GqParams& params, std::uint32_t id,
-                             std::span<const std::uint8_t> message, const GqSignature& sig);
 
 /// Batch verification (Eq. 2 of the paper). All signers share challenge `c`;
 /// `z_bytes` is the serialized Z that was hashed into the challenge.
 /// Checks c == H((prod s_i)^e * (prod H(U_i))^{-c} mod n || Z).
 [[nodiscard]] bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
                                    std::span<const std::uint32_t> ids,
-                                   std::span<const BigInt> s_values, const BigInt& c,
-                                   std::span<const std::uint8_t> z_bytes);
-/// Compatibility shim: derives a transient mod-n context per call.
-[[nodiscard]] bool gq_batch_verify(const GqParams& params, std::span<const std::uint32_t> ids,
                                    std::span<const BigInt> s_values, const BigInt& c,
                                    std::span<const std::uint8_t> z_bytes);
 

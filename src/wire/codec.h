@@ -92,15 +92,6 @@ class Frame {
   /// Number of Frame copies sharing this buffer (fan-out introspection).
   [[nodiscard]] long use_count() const { return buf_ ? buf_.use_count() : 0; }
 
-  /// Same shared buffer, different pinned metadata — used when a rewritten
-  /// copy must keep the original frame's accounting.
-  [[nodiscard]] Frame with_metadata(std::uint64_t accounted_bits, std::uint32_t sender) const {
-    Frame f = *this;
-    f.accounted_bits_ = accounted_bits;
-    f.sender_ = sender;
-    return f;
-  }
-
  private:
   std::shared_ptr<const std::vector<std::uint8_t>> buf_;
   std::uint64_t accounted_bits_ = 0;

@@ -16,6 +16,7 @@
 
 #include "gka/session.h"
 #include "sig/gq.h"
+#include "typed_hooks.h"
 #include "wire/codec.h"
 
 namespace idgka::gka {
@@ -39,7 +40,7 @@ std::vector<std::uint32_t> make_ids(std::size_t n, std::uint32_t base = 2000) {
 TEST(Tampering, CorruptedRound2ShareFailsBatchVerification) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(5), 1);
   const std::uint32_t victim = session.member_ids()[2];
-  session.mutable_network().set_tamper_hook(
+  session.mutable_network().set_frame_tamper_hook(hooks::typed_tamper(
       [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "proposed-r2" && msg.sender == victim) {
           // Flip the GQ response s_i: Eq. (2) must reject the whole batch.
@@ -51,9 +52,16 @@ TEST(Tampering, CorruptedRound2ShareFailsBatchVerification) {
           msg.payload = fresh;
         }
         return true;
-      });
+      }));
   const RunResult result = session.form();
   EXPECT_FALSE(result.success);
+  // A rejecting member does not stop the others: every member ran (and was
+  // billed for) its own batch verification. Only the victim, whose view
+  // holds its own untampered s, went on to derive a key.
+  for (const std::uint32_t id : session.member_ids()) {
+    EXPECT_EQ(session.ledger(id).count(energy::Op::kSignVerGq), 1U) << id;
+    EXPECT_EQ(session.ledger(id).count(energy::Op::kModExp), id == victim ? 3U : 2U) << id;
+  }
 }
 
 TEST(Tampering, CorruptedXValueFailsLemma1ForHonestBd) {
@@ -62,7 +70,7 @@ TEST(Tampering, CorruptedXValueFailsLemma1ForHonestBd) {
   // *unsigned* field pair coherently (both x and s would need the secret).
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 2100), 2);
   const std::uint32_t victim = session.member_ids()[1];
-  session.mutable_network().set_tamper_hook(
+  session.mutable_network().set_frame_tamper_hook(hooks::typed_tamper(
       [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "proposed-r2" && msg.sender == victim) {
           net::Payload fresh;
@@ -72,14 +80,14 @@ TEST(Tampering, CorruptedXValueFailsLemma1ForHonestBd) {
           msg.payload = fresh;
         }
         return true;
-      });
+      }));
   EXPECT_FALSE(session.form().success);
 }
 
 TEST(Tampering, ForgedEcdsaSignatureRejected) {
   GroupSession session(test_authority(), Scheme::kBdEcdsa, make_ids(4, 2200), 3);
   const std::uint32_t victim = session.member_ids()[0];
-  session.mutable_network().set_tamper_hook(
+  session.mutable_network().set_frame_tamper_hook(hooks::typed_tamper(
       [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "bd-r2" && msg.sender == victim) {
           net::Payload fresh;
@@ -90,14 +98,14 @@ TEST(Tampering, ForgedEcdsaSignatureRejected) {
           msg.payload = fresh;
         }
         return true;
-      });
+      }));
   EXPECT_FALSE(session.form().success);
 }
 
 TEST(Tampering, SsnAuthenticatorForgeryRejected) {
   GroupSession session(test_authority(), Scheme::kSsn, make_ids(4, 2300), 4);
   const std::uint32_t victim = session.member_ids()[3];
-  session.mutable_network().set_tamper_hook(
+  session.mutable_network().set_frame_tamper_hook(hooks::typed_tamper(
       [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "ssn-r2" && msg.sender == victim) {
           net::Payload fresh;
@@ -108,14 +116,14 @@ TEST(Tampering, SsnAuthenticatorForgeryRejected) {
           msg.payload = fresh;
         }
         return true;
-      });
+      }));
   EXPECT_FALSE(session.form().success);
 }
 
 TEST(Tampering, JoinSignatureForgeryRejected) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 2400), 5);
   ASSERT_TRUE(session.form().success);
-  session.mutable_network().set_tamper_hook(
+  session.mutable_network().set_frame_tamper_hook(hooks::typed_tamper(
       [&](net::Message& msg, std::uint32_t) {
         if (msg.type == "join-r1") {
           net::Payload fresh;
@@ -126,7 +134,7 @@ TEST(Tampering, JoinSignatureForgeryRejected) {
           msg.payload = fresh;
         }
         return true;
-      });
+      }));
   EXPECT_FALSE(session.join(2490).success);
 }
 
@@ -213,17 +221,16 @@ TEST(TauReuseAttack, RecoversLongTermSecretFromTwoLeaves) {
   const BigInt ratio =
       mpint::mod_mul(r1.s, mpint::mod_inverse(r2.s, params.gq.n), params.gq.n);
   const BigInt h_u = sig::gq_hash_id(params.gq, victim);
-  const BigInt recovered = mpint::mod_mul(mpint::mod_exp(ratio, alpha, params.gq.n),
-                                          mpint::mod_exp(h_u, beta, params.gq.n),
-                                          params.gq.n);
+  const mpint::ModContext& ctx_n = *params.ctx_n;
+  const BigInt recovered = ctx_n.mul(ctx_n.exp(ratio, alpha), ctx_n.exp(h_u, beta));
 
   // The recovered value is the victim's PKG-extracted long-term secret:
   // verify the key equation S^e == H(U) and forge a signature with it.
-  EXPECT_EQ(mpint::mod_exp(recovered, params.gq.e, params.gq.n), h_u);
+  EXPECT_EQ(ctx_n.exp(recovered, params.gq.e), h_u);
   hash::HmacDrbg rng(1, "forge");
   const sig::GqSigner forger(params.gq, victim, recovered);
   const std::vector<std::uint8_t> msg = {'p', 'w', 'n'};
-  EXPECT_TRUE(sig::gq_verify(params.gq, victim, msg, forger.sign(msg, rng)));
+  EXPECT_TRUE(sig::gq_verify(params.gq, ctx_n, victim, msg, forger.sign(msg, rng)));
 }
 
 TEST(TauReuseAttack, RefreshAllCountermeasureBlocksIt) {
@@ -235,11 +242,11 @@ TEST(TauReuseAttack, RefreshAllCountermeasureBlocksIt) {
   // With the countermeasure, every survivor's t changes each event, so the
   // same tau never answers two distinct challenges.
   std::map<std::uint32_t, std::vector<BigInt>> t_seen;
-  session.mutable_network().set_sniffer([&](const net::Message& msg) {
+  session.mutable_network().set_frame_sniffer(hooks::typed_sniffer([&](const net::Message& msg) {
     if (msg.type == "proposed-r1" || msg.type == "leave-r1") {
       t_seen[msg.sender].push_back(msg.payload.get_int("t"));
     }
-  });
+  }));
 
   ASSERT_TRUE(session.form().success);
   const auto ring = session.member_ids();
@@ -259,9 +266,9 @@ TEST(TauReuseAttack, DefaultPaperBehaviourReusesCommitments) {
   Authority& authority = test_authority();
   GroupSession session(authority, Scheme::kProposed, make_ids(6, 2700), 8);
   std::map<std::uint32_t, int> r1_broadcasts;
-  session.mutable_network().set_sniffer([&](const net::Message& msg) {
+  session.mutable_network().set_frame_sniffer(hooks::typed_sniffer([&](const net::Message& msg) {
     if (msg.type == "leave-r1") ++r1_broadcasts[msg.sender];
-  });
+  }));
   ASSERT_TRUE(session.form().success);
   const auto ring = session.member_ids();
   ASSERT_TRUE(session.leave(ring[5]).success);

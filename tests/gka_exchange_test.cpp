@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "typed_hooks.h"
 #include "wire/codec.h"
 
 namespace idgka::gka {
@@ -102,7 +103,8 @@ TEST(ExchangeRound, SenderOrderPreserved) {
   net::Network net;
   const auto ids = nodes(net, 3);
   std::vector<std::uint32_t> tx_order;
-  net.set_sniffer([&](const net::Message& m) { tx_order.push_back(m.sender); });
+  net.set_frame_sniffer(
+      hooks::typed_sniffer([&](const net::Message& m) { tx_order.push_back(m.sender); }));
   std::vector<RoundSend> sends;
   sends.push_back(RoundSend{msg_from(2), ids});
   sends.push_back(RoundSend{msg_from(3), ids});

@@ -1,11 +1,11 @@
-// Extension features: key confirmation round, refresh-all countermeasure
-// cost, parallel-runner determinism.
+// Extension features: key confirmation round and the refresh-all
+// countermeasure's cost.
 #include <gtest/gtest.h>
 
 #include "gka/complexity.h"
 #include "gka/proposed.h"
 #include "gka/session.h"
-#include "net/parallel.h"
+#include "typed_hooks.h"
 
 namespace idgka::gka {
 namespace {
@@ -35,16 +35,17 @@ TEST(KeyConfirmation, AddsOneRoundAndStillAgrees) {
 TEST(KeyConfirmation, TamperedTagAbortsTheRun) {
   GroupSession session(test_authority(), Scheme::kProposed, make_ids(4, 4100), 2);
   session.set_key_confirmation(true);
-  session.mutable_network().set_tamper_hook([&](net::Message& msg, std::uint32_t) {
-    if (msg.type == "proposed-kc" && msg.sender == 4102) {
-      auto tag = msg.payload.get_blob("tag");
-      tag[0] ^= 0xFF;
-      net::Payload fresh;
-      fresh.put_blob("tag", tag);
-      msg.payload = fresh;
-    }
-    return true;
-  });
+  session.mutable_network().set_frame_tamper_hook(
+      hooks::typed_tamper([&](net::Message& msg, std::uint32_t) {
+        if (msg.type == "proposed-kc" && msg.sender == 4102) {
+          auto tag = msg.payload.get_blob("tag");
+          tag[0] ^= 0xFF;
+          net::Payload fresh;
+          fresh.put_blob("tag", tag);
+          msg.payload = fresh;
+        }
+        return true;
+      }));
   EXPECT_FALSE(session.form().success);
 }
 
@@ -79,39 +80,6 @@ TEST(RefreshAllCountermeasure, CostsExtraCommitmentsOnly) {
   EXPECT_EQ(l_base.tx_messages + 1, l_hard.tx_messages);
   // Keys still agree and stay consistent.
   for (const auto& m : hard.members()) EXPECT_EQ(m.key, hard.key());
-}
-
-TEST(ParallelRunner, SingleAndMultiThreadedRunsIdentical) {
-  // Determinism across schedules: the parallel verification phase cannot
-  // change any output (per-node DRBGs, share-nothing writes).
-  GroupSession a(test_authority(), Scheme::kProposed, make_ids(8, 4500), 5);
-  ASSERT_TRUE(a.form().success);
-  // worker_count() is latched once; instead exercise determinism across
-  // repeated multi-threaded runs.
-  for (int i = 0; i < 3; ++i) {
-    GroupSession b(test_authority(), Scheme::kProposed, make_ids(8, 4500), 5);
-    ASSERT_TRUE(b.form().success);
-    EXPECT_EQ(a.key(), b.key());
-  }
-}
-
-TEST(ParallelRunner, ForEachCoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  net::parallel_for_each(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Zero and single-element cases.
-  net::parallel_for_each(0, [&](std::size_t) { FAIL(); });
-  int single = 0;
-  net::parallel_for_each(1, [&](std::size_t) { ++single; });
-  EXPECT_EQ(single, 1);
-}
-
-TEST(ParallelRunner, PropagatesExceptions) {
-  EXPECT_THROW(net::parallel_for_each(64,
-                                      [&](std::size_t i) {
-                                        if (i == 33) throw std::runtime_error("boom");
-                                      }),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -477,17 +477,5 @@ TEST(ModContext, SqrCounterTracksDedicatedKernel) {
   EXPECT_GT(after.mod_muls, mid.mod_muls);
 }
 
-TEST(ModContext, ShimMatchesContext) {
-  XoshiroRng rng(59);
-  BigInt m = random_bits(rng, 192);
-  if (m.is_even()) m += BigInt{1};
-  const ModContext ctx(m);
-  for (int i = 0; i < 20; ++i) {
-    const BigInt base = random_below(rng, m);
-    const BigInt e = random_bits(rng, 96);
-    EXPECT_EQ(mod_exp(base, e, m), ctx.exp(base, e));
-  }
-}
-
 }  // namespace
 }  // namespace idgka::mpint

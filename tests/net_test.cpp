@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/registry.h"
+#include "obs/trace.h"
+#include "typed_hooks.h"
 #include "wire/codec.h"
 
 namespace idgka::net {
@@ -282,19 +285,19 @@ TEST(Network, FrameTamperRxChargedFromOriginalFrame) {
 }
 
 TEST(Network, TypedTamperRxChargedFromOriginalFrame) {
-  // Regression: the typed (decode -> mutate -> re-encode) adapter also pins
-  // rx accounting to the original frame, even when the mutation changes the
-  // encoded size.
+  // Regression: a message-level tamper (decode -> mutate -> re-encode, via
+  // typed_hooks.h) also leaves rx accounting on the original frame, even
+  // when the mutation changes the encoded size.
   Network net;
   net.add_node(1);
   net.add_node(2);
-  net.set_tamper_hook([](Message& msg, std::uint32_t) {
+  net.set_frame_tamper_hook(hooks::typed_tamper([](Message& msg, std::uint32_t) {
     net::Payload fat;
     fat.put_u32("id", msg.payload.get_u32("id"));
     fat.put_blob("padding", std::vector<std::uint8_t>(512, 0xAB));  // grows the frame
     msg.payload = fat;
     return true;
-  });
+  }));
   net.broadcast(make_msg(1, /*bits=*/96), {2});
   EXPECT_EQ(net.stats(2).rx_bits, 96U);
   const std::uint64_t original_encoded = net.stats(1).tx_encoded_bits;
@@ -321,6 +324,26 @@ TEST(Network, FrameTamperBitFlipDetectedAtDrain) {
   EXPECT_TRUE(net.drain(2).empty());  // ...discarded by the strict decoder
   EXPECT_EQ(net.stats(2).corrupted_frames, 1U);
 }
+
+#if IDGKA_OBS
+TEST(Network, CorruptedFramesReachTheObsCounter) {
+  // drain() is where the strict decoder rejects a tampered copy, so the
+  // obs counter is bumped there, once per discarded frame.
+  obs::Counter& counter = obs::Registry::global().counter("net.corrupted_frames");
+  const std::uint64_t before = counter.value();
+  Network net;
+  for (std::uint32_t id = 1; id <= 4; ++id) net.add_node(id);
+  net.set_frame_tamper_hook([](std::vector<std::uint8_t>& bytes, std::uint32_t to) {
+    if (to != 4) bytes.resize(bytes.size() / 2);  // nodes 2 and 3 get truncated copies
+    return true;
+  });
+  net.broadcast(make_msg(1, 64), {2, 3, 4});
+  net.broadcast(make_msg(4, 64), {1, 2});
+  for (std::uint32_t id = 1; id <= 4; ++id) (void)net.drain(id);
+  EXPECT_EQ(net.corrupted(), 4U);
+  EXPECT_EQ(counter.value() - before, net.corrupted());
+}
+#endif
 
 TEST(Network, DrainFramesReturnsRawBytes) {
   Network net;

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/parallel.h"
+#include "gka/session.h"
 #include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/registry.h"
@@ -328,22 +328,31 @@ TEST(Trace, CrossThreadTracksAreDeterministicallyOrdered) {
   EXPECT_NE(json.find(R"("name":"from-b")"), std::string::npos);
 }
 
-TEST(Trace, ForkJoinWorkersNameTheirTracksAfterTheCaller) {
+TEST(Trace, ProtocolRoundsStayOnTheCallersTrack) {
+  // Protocol code is serial: every member's round work, verification
+  // included, runs on the calling thread. A traced form therefore puts
+  // every event on the caller's track, whatever IDGKA_THREADS says.
   TraceFixture fixture;
   std::thread caller([] {
-    EXPECT_EQ(obs::thread_track(), "thread");  // unnamed until set
     obs::set_thread_track("caller");
-    EXPECT_EQ(obs::thread_track(), "caller");
-    net::parallel_run(3, [](std::size_t) { obs::emit(obs::Phase::kInstant, "work", "test"); });
+    gka::Authority authority(gka::SecurityProfile::kTiny, 77);
+    for (const gka::Scheme scheme : {gka::Scheme::kProposed, gka::Scheme::kBdDsa,
+                                     gka::Scheme::kSsn}) {
+      gka::GroupSession session(authority, scheme, {1, 2, 3, 4, 5, 6, 7, 8}, 3);
+      EXPECT_TRUE(session.form().success) << gka::scheme_name(scheme);
+    }
   });
   caller.join();
   const std::string json = obs::export_chrome_trace();
-  // Worker w always takes the same slice, so its track name is fixed too.
-  for (const char* track : {"caller", "caller/1", "caller/2"}) {
-    EXPECT_NE(json.find(std::string(R"("args":{"name":")") + track + "\"}"), std::string::npos)
-        << track << '\n' << json;
+  const std::string meta = R"("args":{"name":")";
+  std::vector<std::string> tracks;
+  for (std::size_t at = json.find(meta); at != std::string::npos;
+       at = json.find(meta, at + 1)) {
+    const std::size_t begin = at + meta.size();
+    tracks.push_back(json.substr(begin, json.find('"', begin) - begin));
   }
-  EXPECT_EQ(json.find(R"("args":{"name":"thread"})"), std::string::npos) << json;
+  EXPECT_EQ(tracks, std::vector<std::string>{"caller"}) << json.substr(0, 2048);
+  EXPECT_NE(json.find(R"("name":"gka.round")"), std::string::npos);
 }
 
 TEST(Trace, DisabledEmitsNothing) {

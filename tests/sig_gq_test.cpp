@@ -19,15 +19,20 @@ class GqFixture : public ::testing::Test {
   static void SetUpTestSuite() {
     hash::HmacDrbg rng(1001, "gq-params");
     pkg_ = new GqPkg(rng, /*modulus_bits=*/512, /*mr_rounds=*/16);
+    ctx_ = new mpint::ModContext(pkg_->params().n);
   }
   static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
     delete pkg_;
     pkg_ = nullptr;
   }
   static GqPkg* pkg_;
+  static mpint::ModContext* ctx_;  ///< mod-n context for verification
 };
 
 GqPkg* GqFixture::pkg_ = nullptr;
+mpint::ModContext* GqFixture::ctx_ = nullptr;
 
 TEST_F(GqFixture, HashIdIsUnitAndDeterministic) {
   const BigInt h1 = gq_hash_id(pkg_->params(), 42);
@@ -75,7 +80,7 @@ TEST_F(GqFixture, SharedContextMustMatchModulus) {
 TEST_F(GqFixture, ExtractSatisfiesKeyEquation) {
   // S_ID^e == H(ID) mod n.
   const BigInt s_id = pkg_->extract(7);
-  const BigInt lhs = mpint::mod_exp(s_id, pkg_->params().e, pkg_->params().n);
+  const BigInt lhs = ctx_->exp(s_id, pkg_->params().e);
   EXPECT_EQ(lhs, gq_hash_id(pkg_->params(), 7));
 }
 
@@ -84,21 +89,21 @@ TEST_F(GqFixture, SignVerifyRoundTrip) {
   const std::uint32_t id = 1234;
   const GqSigner signer(pkg_->params(), id, pkg_->extract(id));
   const auto sig = signer.sign(bytes("hello group"), rng);
-  EXPECT_TRUE(gq_verify(pkg_->params(), id, bytes("hello group"), sig));
+  EXPECT_TRUE(gq_verify(pkg_->params(), *ctx_, id, bytes("hello group"), sig));
 }
 
 TEST_F(GqFixture, VerifyRejectsWrongMessage) {
   hash::HmacDrbg rng(3, "sign");
   const GqSigner signer(pkg_->params(), 1, pkg_->extract(1));
   const auto sig = signer.sign(bytes("msg-a"), rng);
-  EXPECT_FALSE(gq_verify(pkg_->params(), 1, bytes("msg-b"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 1, bytes("msg-b"), sig));
 }
 
 TEST_F(GqFixture, VerifyRejectsWrongIdentity) {
   hash::HmacDrbg rng(4, "sign");
   const GqSigner signer(pkg_->params(), 1, pkg_->extract(1));
   const auto sig = signer.sign(bytes("msg"), rng);
-  EXPECT_FALSE(gq_verify(pkg_->params(), 2, bytes("msg"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 2, bytes("msg"), sig));
 }
 
 TEST_F(GqFixture, VerifyRejectsTamperedSignature) {
@@ -106,14 +111,14 @@ TEST_F(GqFixture, VerifyRejectsTamperedSignature) {
   const GqSigner signer(pkg_->params(), 1, pkg_->extract(1));
   auto sig = signer.sign(bytes("msg"), rng);
   sig.s = (sig.s + BigInt{1}).mod(pkg_->params().n);
-  EXPECT_FALSE(gq_verify(pkg_->params(), 1, bytes("msg"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 1, bytes("msg"), sig));
 }
 
 TEST_F(GqFixture, VerifyRejectsOutOfRangeS) {
   GqSignature sig{pkg_->params().n + BigInt{5}, BigInt{17}};
-  EXPECT_FALSE(gq_verify(pkg_->params(), 1, bytes("msg"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 1, bytes("msg"), sig));
   sig.s = BigInt{};
-  EXPECT_FALSE(gq_verify(pkg_->params(), 1, bytes("msg"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 1, bytes("msg"), sig));
 }
 
 TEST_F(GqFixture, SignerWithWrongSecretFailsVerification) {
@@ -121,7 +126,7 @@ TEST_F(GqFixture, SignerWithWrongSecretFailsVerification) {
   // Signer claims identity 9 but holds the key for identity 8.
   const GqSigner impostor(pkg_->params(), 9, pkg_->extract(8));
   const auto sig = impostor.sign(bytes("msg"), rng);
-  EXPECT_FALSE(gq_verify(pkg_->params(), 9, bytes("msg"), sig));
+  EXPECT_FALSE(gq_verify(pkg_->params(), *ctx_, 9, bytes("msg"), sig));
 }
 
 // --- Batch verification (the protocol's Eq. 2 shape) ---------------------
@@ -158,20 +163,20 @@ class GqBatchTest : public GqFixture, public ::testing::WithParamInterface<std::
 
 TEST_P(GqBatchTest, AcceptsHonestBatch) {
   const auto b = make_batch(*pkg_, GetParam(), 10 + GetParam());
-  EXPECT_TRUE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
+  EXPECT_TRUE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
 }
 
 TEST_P(GqBatchTest, RejectsSingleCorruptedShare) {
   auto b = make_batch(*pkg_, GetParam(), 20 + GetParam());
   const std::size_t victim = GetParam() / 2;
   b.s[victim] = (b.s[victim] + BigInt{1}).mod(pkg_->params().n);
-  EXPECT_FALSE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
+  EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
 }
 
 TEST_P(GqBatchTest, RejectsWrongZ) {
   auto b = make_batch(*pkg_, GetParam(), 30 + GetParam());
   b.z.push_back(0x00);
-  EXPECT_FALSE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
+  EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, GqBatchTest, ::testing::Values(1, 2, 3, 5, 8, 16));
@@ -179,8 +184,8 @@ INSTANTIATE_TEST_SUITE_P(GroupSizes, GqBatchTest, ::testing::Values(1, 2, 3, 5, 
 TEST_F(GqFixture, BatchRejectsMismatchedArity) {
   auto b = make_batch(*pkg_, 3, 99);
   b.ids.pop_back();
-  EXPECT_FALSE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
-  EXPECT_FALSE(gq_batch_verify(pkg_->params(), {}, {}, b.c, b.z));
+  EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
+  EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, {}, {}, b.c, b.z));
 }
 
 TEST_F(GqFixture, BatchRejectsSwappedIdentities) {
@@ -189,10 +194,10 @@ TEST_F(GqFixture, BatchRejectsSwappedIdentities) {
   // The product of H(U_i) is invariant under permutation, but each s_i was
   // bound to its own secret; swapping only ids keeps the product equal, so
   // the batch equation still holds (the batch binds the *set*, not order).
-  EXPECT_TRUE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
+  EXPECT_TRUE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
   // Replacing an identity with one outside the signer set must fail.
   b.ids[0] = 999;
-  EXPECT_FALSE(gq_batch_verify(pkg_->params(), b.ids, b.s, b.c, b.z));
+  EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
 }
 
 TEST_F(GqFixture, SignatureBitsMatchPaperShape) {
