@@ -137,7 +137,7 @@ RunResult run_ssn(const SystemParams& params, std::span<MemberCtx> members,
       // a_j^e == H(U_j) * w_j^{c_j * e} mod n  —  two exponentiations.
       m.ledger.record(Op::kModExp, 2);
       const BigInt lhs = params.ctx_n->exp(a_j, params.gq.e);
-      const BigInt rhs = params.ctx_n->mul(sig::gq_hash_id(params.gq, sender),
+      const BigInt rhs = params.ctx_n->mul(params.gq.hash_id(sender),
                                            params.ctx_n->exp(w_j, c_j * params.gq.e));
       if (lhs != rhs) {
         member_ok = false;

@@ -34,7 +34,7 @@ class HmacDrbg final : public mpint::Rng {
  private:
   void update(std::span<const std::uint8_t> provided);
 
-  std::array<std::uint8_t, 32> key_{};
+  HmacSha256 mac_;  ///< keyed with the current K; re-keyed only when K changes
   std::array<std::uint8_t, 32> v_{};
 };
 

@@ -70,6 +70,7 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return *this;  // an empty span may carry a null pointer
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

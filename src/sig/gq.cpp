@@ -1,6 +1,7 @@
 #include "sig/gq.h"
 
 #include <array>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -45,11 +46,40 @@ BigInt gq_challenge(std::span<const std::uint8_t> first, std::span<const std::ui
 GqPkg::GqPkg(mpint::Rng& rng, std::size_t modulus_bits, int mr_rounds)
     : GqPkg(mpint::generate_gq_modulus(rng, modulus_bits, BigInt{65537}, mr_rounds)) {}
 
+BigInt GqParams::hash_id(std::uint32_t id) const {
+  if (ids) {
+    if (auto hid = ids->find(id)) return std::move(*hid);
+  }
+  return gq_hash_id(*this, id);
+}
+
+void GqIdTable::insert(std::uint32_t id, const BigInt& hid) {
+  const std::unique_lock lock(mu_);
+  hid_.try_emplace(id, hid);
+}
+
+std::optional<BigInt> GqIdTable::find(std::uint32_t id) const {
+  const std::shared_lock lock(mu_);
+  const auto it = hid_.find(id);
+  if (it == hid_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::size_t GqIdTable::size() const {
+  const std::shared_lock lock(mu_);
+  return hid_.size();
+}
+
 GqPkg::GqPkg(mpint::GqModulus modulus)
-    : key_(std::move(modulus)), params_{key_.n, key_.e}, ctx_(key_.n) {}
+    : key_(std::move(modulus)),
+      ids_(std::make_shared<GqIdTable>()),
+      params_{key_.n, key_.e, ids_},
+      ctx_(key_.n) {}
 
 BigInt GqPkg::extract(std::uint32_t id) const {
-  return ctx_.exp(gq_hash_id(params_, id), key_.d);
+  const BigInt hid = params_.hash_id(id);  // computed once per id
+  ids_->insert(id, hid);
+  return ctx_.exp(hid, key_.d);
 }
 
 GqSigner::GqSigner(GqParams params, std::uint32_t id, BigInt secret_key)
@@ -94,7 +124,7 @@ bool gq_verify(const GqParams& params, const mpint::ModContext& ctx, std::uint32
   }
   if (sig.s.is_zero() || sig.s >= params.n || sig.s.negative()) return false;
   // t' = s^e * H(ID)^{-c} mod n, as one joint double exponentiation.
-  const BigInt hid = gq_hash_id(params, id);
+  const BigInt hid = params.hash_id(id);
   BigInt t_prime;
   try {
     const std::array<BigInt, 2> bases{sig.s, mpint::mod_inverse(hid, params.n)};
@@ -119,7 +149,7 @@ bool gq_batch_verify(const GqParams& params, const mpint::ModContext& ctx,
     if (s_values[i].is_zero() || s_values[i].negative() || s_values[i] >= params.n) {
       return false;
     }
-    h_vals.push_back(gq_hash_id(params, ids[i]));
+    h_vals.push_back(params.hash_id(ids[i]));
   }
   const BigInt s_prod = ctx.product(s_values);
   const BigInt h_prod = ctx.product(h_vals);

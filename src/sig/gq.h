@@ -11,11 +11,18 @@
 // respond (Round 2: all signers share the challenge c = H(T || Z) with
 // T = prod t_i), enabling the n-signature batch check
 //   c == H((prod s_i)^e * (prod H(U_i))^{-c} mod n || Z).
+//
+// H(U_i) depends only on public data, so each PKG keeps a GqIdTable of the
+// values it computed at Extract. Invariant: only GqPkg::extract inserts;
+// verification looks identities up and computes a miss without inserting.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <shared_mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "mpint/bigint.h"
@@ -27,15 +34,45 @@ namespace idgka::sig {
 
 using mpint::BigInt;
 
+class GqIdTable;
+
 /// Public GQ parameters (the PKG's `params` = (n, e, H)).
 struct GqParams {
   BigInt n;  ///< RSA-type modulus p'q' (factors secret).
   BigInt e;  ///< Public verification exponent, coprime to phi(n).
+  /// H(ID) of every identity the PKG has extracted a key for. GqPkg creates
+  /// it; every copy of its params (SystemParams, each GqSigner) shares it.
+  /// Null for params built by hand, which compute H(ID) directly.
+  std::shared_ptr<const GqIdTable> ids{};
+
+  /// H(id) from the table when `id` is enrolled, else gq_hash_id(*this, id).
+  /// Never inserts: only GqPkg::extract fills the table.
+  [[nodiscard]] BigInt hash_id(std::uint32_t id) const;
 };
 
 /// H(ID): hashes a 32-bit identity into Z_n^* (paper: users carry 32-bit
-/// identities). Deterministic; domain-separated from message hashing.
+/// identities). Deterministic; domain-separated from message hashing. The
+/// one definition of H(ID); GqIdTable only caches its values.
 [[nodiscard]] BigInt gq_hash_id(const GqParams& params, std::uint32_t id);
+
+/// Cache of H(ID) under one GQ modulus, internally locked. Invariant: it
+/// holds only enrolled identities. GqPkg::extract is the only writer; the
+/// verification paths (gq_verify, gq_batch_verify, SSN's authenticator
+/// check) look up and, on a miss, compute without inserting, so an
+/// unauthenticated id (a forged sender) can never grow it. Entries are
+/// never removed or changed.
+class GqIdTable {
+ public:
+  /// Records H(id); a repeated id keeps its first (equal) value.
+  void insert(std::uint32_t id, const BigInt& hid);
+  /// H(id) if `id` is enrolled, else nullopt.
+  [[nodiscard]] std::optional<BigInt> find(std::uint32_t id) const;
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  mutable std::shared_mutex mu_;
+  std::unordered_map<std::uint32_t, BigInt> hid_;
+};
 
 /// Challenge hash c = H(first || second), mapping into a positive integer of
 /// at most 256 bits (the paper's l-bit one-way hash H).
@@ -58,12 +95,13 @@ class GqPkg {
 
   [[nodiscard]] const GqParams& params() const { return params_; }
 
-  /// Extract: S_ID = H(ID)^d mod n. In deployment this travels over a
-  /// secure channel to the user.
+  /// Extract: S_ID = H(ID)^d mod n, recording H(ID) in the params' table.
+  /// In deployment S_ID travels over a secure channel to the user.
   [[nodiscard]] BigInt extract(std::uint32_t id) const;
 
  private:
   mpint::GqModulus key_;
+  std::shared_ptr<GqIdTable> ids_;  ///< the table params_.ids points at
   GqParams params_;
   mpint::ModContext ctx_;
 };

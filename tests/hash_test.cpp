@@ -124,6 +124,118 @@ TEST(Hmac, Rfc4231Vectors) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// RFC 2104's definition, written out: H((K' ^ opad) || H((K' ^ ipad) || m)),
+// K' the key zero-padded to 64 bytes, or its digest when longer.
+Sha256::Digest textbook_hmac(std::span<const std::uint8_t> key,
+                             std::span<const std::uint8_t> data) {
+  std::array<std::uint8_t, 64> k{};
+  if (key.size() > 64) {
+    const auto d = Sha256::digest(key);
+    std::copy(d.begin(), d.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::array<std::uint8_t, 64> ipad{};
+  std::array<std::uint8_t, 64> opad{};
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  }
+  const auto inner_digest = Sha256::digest(concat({ipad, data}));
+  return Sha256::digest(concat({opad, inner_digest}));
+}
+
+std::span<const std::uint8_t> bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Hmac, KeyedMatchesOneShot) {
+  // Key lengths around the 64-byte block: empty, short, exactly one block,
+  // one byte over (hashed first) and RFC 4231's 131 bytes.
+  std::vector<std::uint8_t> msg(150);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  for (std::size_t key_len : {0U, 32U, 64U, 65U, 131U}) {
+    std::vector<std::uint8_t> key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) key[i] = static_cast<std::uint8_t>(i * 29 + 1);
+    const HmacSha256 keyed(key);
+    for (std::size_t len : {0U, 1U, 55U, 64U, 150U}) {
+      const std::span<const std::uint8_t> m(msg.data(), len);
+      const auto expect = textbook_hmac(key, m);
+      EXPECT_EQ(keyed.mac(m), expect) << "key=" << key_len << " len=" << len;
+      EXPECT_EQ(hmac_sha256(key, m), expect) << "key=" << key_len << " len=" << len;
+      EXPECT_EQ(keyed.mac({m.first(len / 3), m.subspan(len / 3)}), expect)
+          << "key=" << key_len << " len=" << len;
+    }
+  }
+
+  // One keyed object reused: RFC 4231 cases 6 and 7 share the 131-byte key.
+  const std::vector<std::uint8_t> key(131, 0xaa);
+  const HmacSha256 keyed(key);
+  EXPECT_EQ(hex(keyed.mac(bytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(hex(keyed.mac(bytes("This is a test using a larger than block-size key and a "
+                                "larger than block-size data. The key needs to be hashed "
+                                "before being used by the HMAC algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+  // And case 1 again through a keyed object.
+  EXPECT_EQ(hex(HmacSha256(std::vector<std::uint8_t>(20, 0x0b)).mac(bytes("Hi There"))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+}
+
+struct DrbgStream {
+  std::string fill100;
+  std::string fill32;
+  std::string reseed_fill48;
+};
+
+DrbgStream draw(HmacDrbg& drbg) {
+  DrbgStream out;
+  std::array<std::uint8_t, 100> a{};
+  drbg.fill(a);
+  out.fill100 = hex(a);
+  std::array<std::uint8_t, 32> b{};
+  drbg.fill(b);
+  out.fill32 = hex(b);
+  // 70 bytes of material: V || sep || material spans two SHA-256 blocks.
+  std::array<std::uint8_t, 70> material{};
+  for (std::size_t i = 0; i < material.size(); ++i) {
+    material[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  drbg.reseed(material);
+  std::array<std::uint8_t, 48> c{};
+  drbg.fill(c);
+  out.reseed_fill48 = hex(c);
+  return out;
+}
+
+TEST(HmacDrbg, KnownAnswerFromSeedBytes) {
+  // Pinned output: a change to HMAC or to the DRBG's update/fill sequence
+  // must not move a byte of any stream the simulator derives from seeds.
+  HmacDrbg drbg(std::string_view{"idgka-kat-seed"});
+  const DrbgStream s = draw(drbg);
+  EXPECT_EQ(s.fill100,
+            "4ffb162231cc49fd4e0ab8f7c6e390b610e5a8883a107248e29c16d5fd0dc0ec9f7bb560d89ea0e9"
+            "e46c32a04a1c1367d6973df7405bffe99b1272caba9f86110df9a0ca39d149fe519ec9fe5e10f898"
+            "c4766b4e698acb61567dc229c6140cfbc6e731b8");
+  EXPECT_EQ(s.fill32, "77132372a35ae3439ec37874e414193a8fc2138fdb7872f7d04194d43afe8700");
+  EXPECT_EQ(s.reseed_fill48,
+            "1969833ca893919de7b53003ba64e7187cc6a0f0dcbfed30e05d6ec506320679b4f130602bcb31ff"
+            "dfdc56ad44eb7ebf");
+}
+
+TEST(HmacDrbg, KnownAnswerFromSeedAndLabel) {
+  HmacDrbg drbg(42, "kat");
+  const DrbgStream s = draw(drbg);
+  EXPECT_EQ(s.fill100,
+            "cdd7d6edd969ccd75ee029013945a10be2cc5b0f6d4f047c0b4a6db4ae724dd32eef7d4c545be1cd"
+            "28fc7b67c4823fbb4fc96978dd70bfc1ce92d82df9b37f8e51dff62414d47f42b23c7afcbe1b3b51"
+            "fee637da37a5b63ec01fc0650e97e4504ac9eaa2");
+  EXPECT_EQ(s.fill32, "94f1c2e72c69b616424d7772bb153414e59c1da3d374743004b2e1cdb22004f4");
+  EXPECT_EQ(s.reseed_fill48,
+            "6e225e482b0034cc1a1b26f710e154854a12eac4bce70aeb54866e3a4e7e66e4af767d2efa1abecc"
+            "654e31f38cfe1db7");
+}
+
 TEST(HmacDrbg, DeterministicUnderSeed) {
   HmacDrbg a(42, "test");
   HmacDrbg b(42, "test");

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+
 #include "hash/hmac_drbg.h"
 #include "hash/sha256.h"
 
@@ -198,6 +201,79 @@ TEST_F(GqFixture, BatchRejectsSwappedIdentities) {
   // Replacing an identity with one outside the signer set must fail.
   b.ids[0] = 999;
   EXPECT_FALSE(gq_batch_verify(pkg_->params(), *ctx_, b.ids, b.s, b.c, b.z));
+}
+
+// --- The H(ID) table (filled by extract, read by verification) ----------
+
+GqParams without_table(const GqParams& params) { return GqParams{params.n, params.e}; }
+
+TEST_F(GqFixture, IdTableHoldsHashOfEnrolledIds) {
+  const GqParams& params = pkg_->params();
+  ASSERT_NE(params.ids, nullptr);
+  for (std::uint32_t id = 500; id < 508; ++id) {
+    (void)pkg_->extract(id);
+    const auto hid = params.ids->find(id);
+    ASSERT_TRUE(hid.has_value()) << "id=" << id;
+    EXPECT_EQ(*hid, gq_hash_id(without_table(params), id)) << "id=" << id;
+    EXPECT_EQ(params.hash_id(id), *hid) << "id=" << id;
+  }
+  // Copies of the params share the PKG's table.
+  const GqSigner signer(params, 500, pkg_->extract(500));
+  EXPECT_EQ(signer.params().ids, params.ids);
+  // Hand-built params have none and compute H(ID) directly.
+  EXPECT_EQ(without_table(params).hash_id(501), *params.ids->find(501));
+}
+
+TEST_F(GqFixture, UnenrolledIdIsComputedButNeverInserted) {
+  const GqParams& params = pkg_->params();
+  const std::uint32_t forged = 0xBAD1D;
+  const std::size_t before = params.ids->size();
+  EXPECT_FALSE(params.ids->find(forged).has_value());
+  EXPECT_EQ(params.hash_id(forged), gq_hash_id(without_table(params), forged));
+  EXPECT_EQ(params.ids->size(), before);
+
+  // Substituted into an honest ring, the forged id still fails the batch
+  // check and still leaves the table as it was.
+  auto b = make_batch(*pkg_, 4, 111);
+  const std::size_t enrolled = params.ids->size();
+  EXPECT_TRUE(gq_batch_verify(params, *ctx_, b.ids, b.s, b.c, b.z));
+  b.ids[2] = forged;
+  EXPECT_FALSE(gq_batch_verify(params, *ctx_, b.ids, b.s, b.c, b.z));
+  const GqSignature sig{b.s[2], b.c};
+  EXPECT_FALSE(gq_verify(params, *ctx_, forged, b.z, sig));
+  EXPECT_EQ(params.ids->size(), enrolled);
+  EXPECT_FALSE(params.ids->find(forged).has_value());
+}
+
+TEST_F(GqFixture, ConcurrentExtractAndVerify) {
+  // Four threads enroll fresh ids while verifying signatures of their own
+  // and of ids another thread may or may not have enrolled yet (a table
+  // hit or a miss; the result must not depend on which).
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kPerThread = 6;
+  const auto shared_ctx = std::make_shared<const mpint::ModContext>(pkg_->params().n);
+  std::array<bool, kThreads> ok{};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      hash::HmacDrbg rng(700 + t, "concurrent");
+      bool all = true;
+      for (std::uint32_t k = 0; k < kPerThread; ++k) {
+        const std::uint32_t id = 2000 + t * kPerThread + k;
+        const GqSigner signer(pkg_->params(), id, pkg_->extract(id), shared_ctx);
+        const auto sig = signer.sign(bytes("concurrent"), rng);
+        all = all && gq_verify(pkg_->params(), *shared_ctx, id, bytes("concurrent"), sig);
+        const std::uint32_t other = 2000 + ((t + 1) % kThreads) * kPerThread + k;
+        all = all && !gq_verify(pkg_->params(), *shared_ctx, other, bytes("concurrent"), sig);
+      }
+      ok[t] = all;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::uint32_t t = 0; t < kThreads; ++t) EXPECT_TRUE(ok[t]) << "thread " << t;
+  for (std::uint32_t id = 2000; id < 2000 + kThreads * kPerThread; ++id) {
+    EXPECT_EQ(pkg_->params().ids->find(id), gq_hash_id(without_table(pkg_->params()), id));
+  }
 }
 
 TEST_F(GqFixture, SignatureBitsMatchPaperShape) {
