@@ -9,9 +9,11 @@
 //     table, at 256/1024-bit moduli. The 1024-bit fixed-base row is the
 //     acceptance gate: the process exits non-zero below a 2.5x speedup.
 //     Also races the dedicated Montgomery squaring kernel against the
-//     general CIOS multiply at 1024/2048 bits (gate: >= 1.25x) and proves
-//     steady-state ModContext::exp allocation-free via the operator-new
-//     interposer in bench_util.h (gate: 0 heap allocs/op).
+//     general multiply at 1024/2048 bits (gate: >= 1.25x, on the best-of
+//     times; the table also prints min/median/max over the repetitions and
+//     names the kernel family that ran) and proves steady-state
+//     ModContext::exp allocation-free via the operator-new interposer in
+//     bench_util.h (gate: 0 heap allocs/op).
 //
 //  2. The Google-Benchmark microsuite (windowed Montgomery vs naive
 //     square-and-multiply, Karatsuba crossover, mod-mul, inverse). Runs only
@@ -19,6 +21,7 @@
 //       ./bench_ablation_mpint --benchmark_filter=.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -31,6 +34,7 @@
 #include "bench_util.h"
 #include "hash/hmac_drbg.h"
 #include "mpint/mod_context.h"
+#include "mpint/montgomery.h"
 #include "mpint/random.h"
 
 using namespace idgka;
@@ -194,17 +198,38 @@ MultiExpRow run_multi_exp(const char* engine, std::size_t arity, std::size_t mod
 }
 
 // ------------------------------------------------------------------------
-// Residue kernels: dedicated squaring vs general CIOS multiply, and the
+// Residue kernels: dedicated squaring vs general multiply, and the
 // zero-allocation contract of steady-state exponentiation.
 // ------------------------------------------------------------------------
 
+// Per-op time over every repetition; min is the best-of figure.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+template <typename F>
+Spread spread_of(int reps, int iters, F&& body) {
+  std::vector<double> us;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    us.push_back(us_since(t0) / iters);
+  }
+  std::sort(us.begin(), us.end());
+  return Spread{us.front(), us[us.size() / 2], us.back()};
+}
+
 struct ResidueRow {
   std::size_t bits = 0;
-  double mul_us = 0.0;           // ctx.mul(a, b, out) — general CIOS kernel
-  double sqr_us = 0.0;           // ctx.sqr(a, out) — dedicated squaring kernel
+  Spread mul;                    // ctx.mul(a, b, out) — general product kernel
+  Spread sqr;                    // ctx.sqr(a, out) — dedicated squaring kernel
   double exp_allocs_per_op = 0.0;  // heap allocations per steady-state ctx.exp
 
-  [[nodiscard]] double speedup_sqr() const { return mul_us / sqr_us; }
+  [[nodiscard]] double mul_us() const { return mul.min; }
+  [[nodiscard]] double sqr_us() const { return sqr.min; }
+  [[nodiscard]] double speedup_sqr() const { return mul_us() / sqr_us(); }
 };
 
 ResidueRow run_residue_kernels(std::size_t bits, int iters, int reps) {
@@ -233,12 +258,12 @@ ResidueRow run_residue_kernels(std::size_t bits, int iters, int reps) {
   // Chained in place so every iteration sees a fresh operand; both loops pay
   // the same per-call counter fold, so the ratio isolates the kernels.
   mpint::Residue acc(ctx);
-  row.mul_us = best_of(reps, iters, [&] {
+  row.mul = spread_of(reps, iters, [&] {
     acc = a;
     for (int i = 0; i < iters; ++i) ctx.mul(acc, b, acc);
     benchmark::DoNotOptimize(acc);
   });
-  row.sqr_us = best_of(reps, iters, [&] {
+  row.sqr = spread_of(reps, iters, [&] {
     acc = a;
     for (int i = 0; i < iters; ++i) ctx.sqr(acc, acc);
     benchmark::DoNotOptimize(acc);
@@ -286,15 +311,22 @@ int run_crypto_bench() {
   }
 
   std::printf("\n=== Residue kernels: dedicated squaring vs general mont_mul ===\n");
-  std::printf("%6s %12s %12s %9s %14s\n", "bits", "mul us/op", "sqr us/op", "sqr x",
-              "exp allocs/op");
+  std::printf("Montgomery kernels: %s at 1024 bits, %s at 2048 bits (CPU BMI2+ADX: %s)\n",
+              mpint::mont::select(1024 / 64).family, mpint::mont::select(2048 / 64).family,
+              mpint::mont::adx_supported() ? "yes" : "no");
+  std::printf("%6s %12s %26s %12s %26s %9s %14s\n", "bits", "mul us/op",
+              "mul min/med/max", "sqr us/op", "sqr min/med/max", "sqr x", "exp allocs/op");
   std::vector<ResidueRow> residue;
   residue.push_back(run_residue_kernels(1024, 200000, 7));
   residue.push_back(run_residue_kernels(2048, 60000, 7));
   for (const ResidueRow& r : residue) {
-    std::printf("%6zu %12.4f %12.4f %8.2fx %14.2f\n", r.bits, r.mul_us, r.sqr_us,
-                r.speedup_sqr(), r.exp_allocs_per_op);
+    std::printf("%6zu %12.4f %8.4f/%8.4f/%8.4f %12.4f %8.4f/%8.4f/%8.4f %8.2fx %14.2f\n",
+                r.bits, r.mul_us(), r.mul.min, r.mul.median, r.mul.max, r.sqr_us(), r.sqr.min,
+                r.sqr.median, r.sqr.max, r.speedup_sqr(), r.exp_allocs_per_op);
   }
+  std::printf("mont_sqr speedup: %.2fx at %zu bits, %.2fx at %zu bits\n",
+              residue[0].speedup_sqr(), residue[0].bits, residue[1].speedup_sqr(),
+              residue[1].bits);
 
   std::ofstream out("BENCH_crypto.json");
   out << "{\"bench\":\"crypto_context\",\"runs\":[";
@@ -336,7 +368,7 @@ int run_crypto_bench() {
     std::snprintf(buf, sizeof buf,
                   "{\"bits\":%zu,\"mont_mul_us\":%.4f,\"mont_sqr_us\":%.4f,"
                   "\"mont_sqr_speedup\":%.2f,\"exp_allocs_per_op\":%.2f}",
-                  r.bits, r.mul_us, r.sqr_us, r.speedup_sqr(), r.exp_allocs_per_op);
+                  r.bits, r.mul_us(), r.sqr_us(), r.speedup_sqr(), r.exp_allocs_per_op);
     out << buf;
   }
   out << "]}\n";

@@ -1,9 +1,11 @@
 // Fixed-width limb-vector helpers shared by the Montgomery kernels
-// (mod_context.cpp) and the binary-GCD kernel (bingcd.cpp). Internal to
-// mpint: every pointer references k little-endian limbs.
+// (montgomery.cpp), ModContext (mod_context.cpp) and the binary-GCD kernel
+// (bingcd.cpp). Internal to mpint: every pointer references k little-endian
+// limbs.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 #include "mpint/bigint.h"
 
@@ -47,6 +49,17 @@ inline bool geq(const Limb* a, const Limb* b, std::size_t k) {
     if (a[i] != b[i]) return a[i] > b[i];
   }
   return true;
+}
+
+/// Conditional final subtraction of a Montgomery product: the reduced value
+/// is t[0..k) plus carry limb `hi` (0 or 1) and lies in [0, 2n); writes the
+/// canonical representative to out. `out` may alias anything but `t`.
+inline void reduce_once(const Limb* t, Limb hi, const Limb* n, std::size_t k, Limb* out) {
+  if (hi == 0 && !geq(t, n, k)) {
+    std::memcpy(out, t, k * sizeof(Limb));
+    return;
+  }
+  sub(t, n, out, k);
 }
 
 }  // namespace idgka::mpint::limbs

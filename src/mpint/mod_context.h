@@ -29,8 +29,11 @@
 // pki::CertificateAuthority) construct contexts once and thread
 // `const ModContext&` down; a one-off exponentiation is
 // `ModContext(m).exp(base, e)`, which pays the O(size^2) context derivation
-// in the open. The context is the single seam for any future backend swap
-// (GMP, SIMD limb kernels).
+// in the open. Every Montgomery product and square goes through two raw
+// kernels chosen once per context (montgomery.h): x86-64 BMI2+ADX kernels
+// specialised by limb count for moduli up to Residue::kInlineLimbs, the
+// portable runtime-width loops everywhere else. Both give the same canonical
+// result, so the choice never shows in an output.
 //
 // The layer also keeps process-wide operation counters (exponentiations,
 // low-level modular multiplications and — separately — modular squarings,
@@ -45,6 +48,7 @@
 #include <vector>
 
 #include "mpint/bigint.h"
+#include "mpint/montgomery.h"
 #include "mpint/residue.h"
 
 namespace idgka::mpint {
@@ -221,9 +225,9 @@ class ModContext {
   };
   void fold(const Ops& ops) const;
 
-  // Raw Montgomery kernels (odd moduli). All pointers reference k_-limb
-  // little-endian magnitudes unless noted; `out` may alias any input.
-  // `scratch` must hold at least 2*k_ + 2 limbs.
+  // Raw Montgomery kernels (odd moduli), forwarding to kernels_. All
+  // pointers reference k_-limb little-endian magnitudes unless noted; `out`
+  // may alias any input. `scratch` must hold at least 2*k_ + 2 limbs.
   void mont_mul_raw(const Limb* a, const Limb* b, Limb* out, Limb* scratch) const;
   void mont_sqr_raw(const Limb* a, Limb* out, Limb* scratch) const;
   // Loads |a| mod n into the k_-limb `out` (canonical domain, no R factor).
@@ -259,6 +263,7 @@ class ModContext {
   BigInt rr_;                    // R^2 mod n, R = 2^(64k)
   std::vector<Limb> rr_limbs_;   // R^2 mod n, zero-padded to k_ limbs
   std::vector<Limb> one_mont_;   // R mod n (k_ limbs)
+  mont::Kernels kernels_;        // mont::select(k_) (Montgomery only)
 };
 
 /// Square root modulo a prime p with p % 4 == 3 (MapToPoint on the

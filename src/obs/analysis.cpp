@@ -127,7 +127,15 @@ Report analyze(std::string_view trace_json, std::size_t top_k) {
   std::uint64_t end = 0;
   for (const json::JsonValue& e : doc.at("traceEvents").as_array()) {
     const std::string& ph = e.at("ph").as_string();
-    if (ph == "M") continue;
+    if (ph == "M") {
+      // Exports from before the dropped count carry no such arg.
+      const json::JsonValue& args = e["args"];
+      if (e["name"].as_string() == "thread_name" && args.has("dropped") &&
+          args.at("dropped").as_uint() != 0) {
+        report.dropped_by_track[args.at("name").as_string()] += args.at("dropped").as_uint();
+      }
+      continue;
+    }
     ++report.event_count;
     if (ph == "i") ++report.instant_count;
     const std::uint64_t ts = e.at("ts").as_uint();
@@ -186,6 +194,9 @@ void Report::write(JsonWriter& w) const {
   w.kv("truncated_spans", truncated_spans);
   w.kv("trace_start_us", trace_start_us);
   w.kv("trace_end_us", trace_end_us);
+  w.key("dropped_by_track").begin_object();
+  for (const auto& [track, n] : dropped_by_track) w.kv(track, n);
+  w.end_object();
   w.key("layers").begin_object();
   for (const auto& [cat, stat] : layers) {
     w.key(cat).begin_object();
@@ -243,6 +254,11 @@ std::string Report::to_json() const {
 std::string Report::to_markdown() const {
   std::string md;
   md += "# Trace report\n\n";
+  for (const auto& [track, n] : dropped_by_track) {
+    md += "> **warning:** track `" + track + "` lost " + std::to_string(n) +
+          " events to ring wrap; every table below undercounts it.\n";
+  }
+  if (!dropped_by_track.empty()) md += "\n";
   md += "- events: " + std::to_string(event_count) + " (spans: " + std::to_string(span_count) +
         ", instants: " + std::to_string(instant_count) +
         ", truncated spans: " + std::to_string(truncated_spans) + ")\n";

@@ -89,13 +89,17 @@ struct Report {
   std::vector<OpSummary> ops;           ///< in start order
   std::vector<std::size_t> top_slowest; ///< span indices, slowest first
   std::vector<Span> spans;              ///< every reconstructed span
+  /// Events each track lost to ring wrap (the exporter's thread_name
+  /// args.dropped), non-zero tracks only. Any entry means the tables
+  /// undercount that track.
+  std::map<std::string, std::uint64_t> dropped_by_track;
 
   /// Deterministic JSON (ops, layers, top-k; spans are summarized, not
   /// dumped — the raw trace already exists).
   [[nodiscard]] std::string to_json() const;
   void write(JsonWriter& w) const;
-  /// Human-readable markdown: layer table, per-op table with critical
-  /// paths, top-k slow spans.
+  /// Human-readable markdown: a warning line per lossy track, layer table,
+  /// per-op table with critical paths, top-k slow spans.
   [[nodiscard]] std::string to_markdown() const;
 };
 

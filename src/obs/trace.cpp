@@ -57,6 +57,12 @@ struct Ring {
     return out;
   }
 
+  /// Events overwritten by the wrap: everything written minus what is live.
+  [[nodiscard]] std::uint64_t dropped() const {
+    const std::uint64_t n = next.load(std::memory_order_acquire);
+    return n - std::min<std::uint64_t>(n, slots.size());
+  }
+
   std::string track;
   std::vector<Event> slots;          ///< power-of-two capacity
   std::atomic<std::uint64_t> next{0};  ///< total events ever written
@@ -126,13 +132,13 @@ struct TrackedEvent {
   Event event;
 };
 
-std::vector<TrackedEvent> collect_sorted() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    Recorder& rec = recorder();
-    const std::lock_guard<std::mutex> lock(rec.mu);
-    rings = rec.rings;
-  }
+std::vector<std::shared_ptr<Ring>> registered_rings() {
+  Recorder& rec = recorder();
+  const std::lock_guard<std::mutex> lock(rec.mu);
+  return rec.rings;
+}
+
+std::vector<TrackedEvent> collect_sorted(const std::vector<std::shared_ptr<Ring>>& rings) {
   std::vector<TrackedEvent> events;
   for (const auto& ring : rings) {
     for (Event& e : ring->snapshot()) events.push_back({&ring->track, e});
@@ -264,7 +270,11 @@ void clear() {
 }
 
 std::string export_chrome_trace() {
-  const std::vector<TrackedEvent> events = collect_sorted();
+  const std::vector<std::shared_ptr<Ring>> rings = registered_rings();
+  const std::vector<TrackedEvent> events = collect_sorted(rings);
+  // Events each track lost to ring wrap; several rings can share a track.
+  std::map<std::string, std::uint64_t> dropped;
+  for (const auto& ring : rings) dropped[ring->track] += ring->dropped();
 
   // Deterministic tid assignment: sorted track-name order.
   std::map<std::string, int> tids;
@@ -281,7 +291,7 @@ std::string export_chrome_trace() {
     w.kv("ph", "M");
     w.kv("pid", 1);
     w.kv("tid", tid);
-    w.key("args").begin_object().kv("name", track).end_object();
+    w.key("args").begin_object().kv("name", track).kv("dropped", dropped[track]).end_object();
     w.end_object();
   }
   for (const TrackedEvent& te : events) {
@@ -312,7 +322,7 @@ bool export_chrome_trace_file(const std::string& path) {
 }
 
 std::string dump_recent(std::size_t max_events) {
-  std::vector<TrackedEvent> events = collect_sorted();
+  std::vector<TrackedEvent> events = collect_sorted(registered_rings());
   if (events.size() > max_events) {
     events.erase(events.begin(), events.end() - static_cast<std::ptrdiff_t>(max_events));
   }

@@ -8,7 +8,10 @@
 // flight-recorder semantics: the recorder always holds the last N events
 // per thread, ready to be dumped on an uncaught exception / assertion
 // failure (install_crash_dump) or exported as Chrome trace-event JSON
-// (export_chrome_trace — open in Perfetto or chrome://tracing).
+// (export_chrome_trace — open in Perfetto or chrome://tracing). The export
+// says what the wrap cost: each track's thread_name metadata carries
+// args.dropped, the events its rings overwrote, and trace_report warns on
+// every track where that is non-zero.
 //
 // Timestamps come from the active clock source: under the discrete-event
 // scheduler the sim installs a virtual clock (ScopedClock over

@@ -1,8 +1,13 @@
-// Tests for Montgomery arithmetic (ModContext over odd moduli) against
-// naive references, and for prime/parameter generation.
+// Tests for Montgomery arithmetic (ModContext over odd moduli and the raw
+// kernel families behind it) against naive references, and for
+// prime/parameter generation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "mpint/limbs.h"
 #include "mpint/mod_context.h"
+#include "mpint/montgomery.h"
 #include "mpint/prime.h"
 #include "mpint/random.h"
 
@@ -61,6 +66,102 @@ TEST(Montgomery, PowExponentLaws) {
   EXPECT_EQ(ctx.exp(g, a + b), ctx.mul(ctx.exp(g, a), ctx.exp(g, b)));
   // (g^a)^b == (g^b)^a
   EXPECT_EQ(ctx.exp(ctx.exp(g, a), b), ctx.exp(ctx.exp(g, b), a));
+}
+
+// ------------------------------------------------- raw kernel cross-check
+
+using Limb = BigInt::Limb;
+
+// The CPU check, written out independently of mont::adx_supported().
+bool host_has_bmi2_adx() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+#else
+  return false;
+#endif
+}
+
+// Every kernel family this host can run at width k: the portable one
+// always, the adx one when the CPU has it and k fits the inline Residue.
+std::vector<mont::Kernels> runnable_families(std::size_t k) {
+  std::vector<mont::Kernels> out{mont::portable()};
+  if (mont::adx_supported() && mont::adx(k).mul != nullptr) out.push_back(mont::adx(k));
+  return out;
+}
+
+std::vector<Limb> to_limbs(const BigInt& v, std::size_t k) {
+  std::vector<Limb> out(k);
+  v.copy_limbs_to(out.data(), k);
+  return out;
+}
+
+TEST(MontgomeryKernels, SelectedFamilyMatchesCpuCheck) {
+  const bool adx = host_has_bmi2_adx();
+  EXPECT_EQ(mont::adx_supported(), adx);
+  for (std::size_t k = 1; k <= Residue::kInlineLimbs + 1; ++k) {
+    const bool want_adx = adx && k <= Residue::kInlineLimbs;
+    EXPECT_STREQ(mont::select(k).family, want_adx ? "adx" : "portable") << k;
+  }
+  EXPECT_STREQ(mont::portable().family, "portable");
+  EXPECT_EQ(mont::adx(0).mul, nullptr);
+  EXPECT_EQ(mont::adx(Residue::kInlineLimbs + 1).mul, nullptr);
+}
+
+// Each family's mul and sqr at 1..33 limbs against the BigInt reference
+// a*b*R^-1 mod n, with out aliasing a, b or both. 33 limbs spills to the
+// heap Residue, where only the portable family runs.
+TEST(MontgomeryKernels, EveryFamilyMatchesBigIntReference) {
+  XoshiroRng rng(29);
+  for (std::size_t k = 1; k <= Residue::kInlineLimbs + 1; ++k) {
+    const BigInt r = BigInt{1} << (64 * k);
+    // A random k-limb modulus, one whose top limb is all ones (the top
+    // carry and the final subtraction fire most often), and one whose top
+    // limb is 2 (n far below R).
+    BigInt rand_n = random_bits(rng, 64 * k);
+    if (rand_n.is_even()) rand_n += BigInt{1};
+    const std::vector<BigInt> moduli{rand_n, r - BigInt{59},
+                                     (BigInt{1} << (64 * k - 63)) + BigInt{3}};
+    for (const BigInt& n : moduli) {
+      ASSERT_EQ(n.limb_count(), k);
+      ASSERT_TRUE(n.is_odd());
+      const std::vector<Limb> nl = to_limbs(n, k);
+      const Limb n0 = limbs::neg_inv64(nl[0]);
+      const BigInt r_inv = mod_inverse(r.mod(n), n);
+      std::vector<BigInt> ops{BigInt{}, BigInt{1}, n - BigInt{1}, r.mod(n)};
+      for (int i = 0; i < 4; ++i) ops.push_back(random_below(rng, n));
+      for (const mont::Kernels& fam : runnable_families(k)) {
+        SCOPED_TRACE(testing::Message() << fam.family << " k=" << k << " n=" << n.to_hex());
+        std::vector<Limb> scratch(2 * k + 2);
+        for (const BigInt& a : ops) {
+          const std::vector<Limb> al = to_limbs(a, k);
+          const std::vector<Limb> want_sqr = to_limbs(mod_mul(mod_mul(a, a, n), r_inv, n), k);
+          std::vector<Limb> out(k);
+          fam.sqr(al.data(), out.data(), scratch.data(), nl.data(), n0, k);
+          EXPECT_EQ(out, want_sqr) << "sqr a=" << a.to_hex();
+          std::vector<Limb> in_place = al;  // out == a
+          fam.sqr(in_place.data(), in_place.data(), scratch.data(), nl.data(), n0, k);
+          EXPECT_EQ(in_place, want_sqr);
+          in_place = al;  // out == a == b
+          fam.mul(in_place.data(), in_place.data(), in_place.data(), scratch.data(), nl.data(),
+                  n0, k);
+          EXPECT_EQ(in_place, want_sqr) << "mul(a, a) a=" << a.to_hex();
+          for (const BigInt& b : ops) {
+            const std::vector<Limb> bl = to_limbs(b, k);
+            const std::vector<Limb> want = to_limbs(mod_mul(mod_mul(a, b, n), r_inv, n), k);
+            fam.mul(al.data(), bl.data(), out.data(), scratch.data(), nl.data(), n0, k);
+            EXPECT_EQ(out, want) << "mul a=" << a.to_hex() << " b=" << b.to_hex();
+            std::vector<Limb> into_a = al;
+            fam.mul(into_a.data(), bl.data(), into_a.data(), scratch.data(), nl.data(), n0, k);
+            EXPECT_EQ(into_a, want);
+            std::vector<Limb> into_b = bl;
+            fam.mul(al.data(), into_b.data(), into_b.data(), scratch.data(), nl.data(), n0, k);
+            EXPECT_EQ(into_b, want);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Primality, KnownSmallPrimes) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "gka/session.h"
+#include "obs/analysis.h"
 #include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/registry.h"
@@ -305,6 +307,30 @@ TEST(Trace, RingWrapKeepsLastEvents) {
   EXPECT_LT(dump.find("test/e4"), dump.find("test/e7"));
 }
 
+TEST(Trace, ExportCountsEventsLostToRingWrap) {
+  TraceFixture fixture;
+  obs::set_ring_capacity(16);
+  obs::clear();  // apply the capacity to every ring from here on
+  auto produce = [](const char* track, int events) {
+    obs::set_thread_track(track);
+    for (int i = 0; i < events; ++i) obs::emit(obs::Phase::kInstant, "tick", "test");
+  };
+  std::thread lossy(produce, "lossy", 40);
+  std::thread quiet(produce, "quiet", 5);
+  lossy.join();
+  quiet.join();
+  const std::string json = obs::export_chrome_trace();
+  EXPECT_NE(json.find(R"("args":{"name":"lossy","dropped":24})"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("args":{"name":"quiet","dropped":0})"), std::string::npos) << json;
+  // trace_report's analysis flags the lossy track and only that one.
+  const obs::analysis::Report report = obs::analysis::analyze(json);
+  EXPECT_EQ(report.dropped_by_track, (std::map<std::string, std::uint64_t>{{"lossy", 24}}));
+  EXPECT_EQ(report.event_count, 16U + 5U);
+  const std::string md = report.to_markdown();
+  EXPECT_NE(md.find("track `lossy` lost 24 events"), std::string::npos) << md;
+  EXPECT_EQ(md.find("`quiet`"), std::string::npos) << md;
+}
+
 TEST(Trace, CrossThreadTracksAreDeterministicallyOrdered) {
   TraceFixture fixture;
   // Two producer threads, each with its own named track. Registration
@@ -319,8 +345,8 @@ TEST(Trace, CrossThreadTracksAreDeterministicallyOrdered) {
   b.join();
   const std::string json = obs::export_chrome_trace();
   // Deterministic tid assignment by sorted track name: track-a -> 1.
-  const std::size_t meta_a = json.find(R"("args":{"name":"track-a"})");
-  const std::size_t meta_b = json.find(R"("args":{"name":"track-b"})");
+  const std::size_t meta_a = json.find(R"("args":{"name":"track-a",)");
+  const std::size_t meta_b = json.find(R"("args":{"name":"track-b",)");
   ASSERT_NE(meta_a, std::string::npos) << json;
   ASSERT_NE(meta_b, std::string::npos) << json;
   EXPECT_LT(meta_a, meta_b);
